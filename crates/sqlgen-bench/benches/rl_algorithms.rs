@@ -31,12 +31,12 @@ fn bench_rl(c: &mut Criterion) {
 
     let mut reinforce = Reinforce::new(bed.vocab.size(), cfg(1));
     group.bench_function("reinforce", |b| {
-        b.iter(|| black_box(reinforce.train_episode(&env).total_reward()))
+        b.iter(|| black_box(reinforce.train(&env, 1, 1)[0].total_reward()))
     });
 
     let mut ac = ActorCritic::new(bed.vocab.size(), cfg(2));
     group.bench_function("actor_critic", |b| {
-        b.iter(|| black_box(ac.train_episode(&env).total_reward()))
+        b.iter(|| black_box(ac.train(&env, 1, 1)[0].total_reward()))
     });
 
     let mut meta = MetaCriticTrainer::new(bed.vocab.size(), vec![constraint], cfg(3));

@@ -11,9 +11,8 @@ pub struct HarnessArgs {
     pub seed: u64,
     /// Training episodes for the learned method.
     pub train: usize,
-    /// Worker threads for episode collection (1 = exact serial behaviour).
-    pub threads: usize,
-    /// Lockstep inference lanes (1 = exact serial behaviour).
+    /// Lockstep rollout lanes for training and generation (1 = one
+    /// episode at a time, the golden-fixture streams).
     pub batch: usize,
     /// Quick mode: shrink everything for a smoke run.
     pub quick: bool,
@@ -34,7 +33,6 @@ impl Default for HarnessArgs {
             scale: 0.3,
             seed: 42,
             train: 400,
-            threads: 1,
             batch: 1,
             quick: false,
             benchmark: None,
@@ -64,10 +62,6 @@ impl HarnessArgs {
                 "--scale" => args.scale = value("--scale").parse().expect("--scale: float"),
                 "--seed" => args.seed = value("--seed").parse().expect("--seed: integer"),
                 "--train" => args.train = value("--train").parse().expect("--train: integer"),
-                "--threads" => {
-                    args.threads = value("--threads").parse().expect("--threads: integer");
-                    args.threads = args.threads.max(1);
-                }
                 "--batch" => {
                     args.batch = value("--batch").parse().expect("--batch: integer");
                     args.batch = args.batch.max(1);
@@ -80,8 +74,7 @@ impl HarnessArgs {
                 "--help" | "-h" => {
                     println!(
                         "flags: --n <queries> --scale <sf> --seed <u64> \
-                         --train <episodes> --threads <workers> \
-                         --batch <lanes> \
+                         --train <episodes> --batch <lanes> \
                          --benchmark <tpch|job|xuetang> --quick \
                          --trace <path.jsonl> --metrics --quiet"
                     );
@@ -145,12 +138,8 @@ mod tests {
         assert_eq!(a.n, 50);
         assert_eq!(a.seed, 7);
         assert!((a.scale - 1.5).abs() < 1e-12);
-        assert_eq!(a.threads, 1);
-        let a = parse(&["--threads", "4"]);
-        assert_eq!(a.threads, 4);
-        // 0 is clamped to the serial path rather than rejected.
-        assert_eq!(parse(&["--threads", "0"]).threads, 1);
         assert_eq!(a.batch, 1);
+        // 0 is clamped to one lane rather than rejected.
         assert_eq!(parse(&["--batch", "8"]).batch, 8);
         assert_eq!(parse(&["--batch", "0"]).batch, 1);
     }
@@ -171,5 +160,12 @@ mod tests {
     #[should_panic(expected = "unknown flag")]
     fn rejects_unknown() {
         parse(&["--bogus"]);
+    }
+
+    /// `--threads` is not a harness flag: rollout width is `--batch`.
+    #[test]
+    #[should_panic(expected = "unknown flag --threads")]
+    fn rejects_threads() {
+        parse(&["--threads", "4"]);
     }
 }

@@ -35,7 +35,7 @@ fn main() {
 
     for &lambda in &lambdas {
         sqlgen_obs::obs_info!("[ablation] lambda = {lambda}");
-        let mut cfg = harness_gen_config(bed.seed).with_threads(args.threads);
+        let mut cfg = harness_gen_config(bed.seed).with_batch_size(args.batch);
         cfg.train.lambda = lambda;
         let mut g = LearnedSqlGen::new(&bed.db, constraint, cfg);
         g.train(args.train);

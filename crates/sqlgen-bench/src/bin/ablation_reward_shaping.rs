@@ -52,11 +52,11 @@ fn main() {
         for mode in [RewardMode::RawBoundary, RewardMode::Shaped] {
             let env = bed.env(constraint).with_reward_mode(mode);
             let mut trainer = ActorCritic::new(bed.vocab.size(), cfg(args.seed));
-            for _ in 0..args.train {
-                trainer.train_episode(&env);
-            }
-            let hits = (0..args.n)
-                .filter(|_| trainer.generate(&env).satisfied)
+            trainer.train(&env, args.train, 1);
+            let hits = trainer
+                .generate(None, &env, args.n, 1)
+                .iter()
+                .filter(|ep| ep.satisfied)
                 .count();
             accs.push(hits as f64 / args.n as f64);
         }

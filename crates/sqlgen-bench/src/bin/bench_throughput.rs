@@ -1,14 +1,14 @@
 //! Throughput benchmark for the RL pipeline.
 //!
-//! Measures training throughput (episodes/sec, tokens/sec) at `--threads 1`
-//! versus a parallel worker count and across a lane-batched training sweep
-//! (batched BPTT at batch 4/8/16), and inference throughput (queries/sec,
-//! tokens/sec) with a warm policy across a batch-size sweep — plus p50/p95
-//! per-token step latency from the `rl.step.latency_us` histogram. The
-//! histogram is reset between phases and every phase row records the
-//! machine's hardware thread count alongside its own threads/batch, so
-//! rows are comparable in isolation. Results go to `BENCH_train.json` and
-//! `BENCH_generate.json` in `--out` (default: current directory).
+//! Measures training throughput (episodes/sec, tokens/sec) across a lane
+//! width sweep (one lane, then batched BPTT at 4/8/16 lanes), and inference
+//! throughput (queries/sec, tokens/sec) with a warm policy across a
+//! batch-size sweep — plus p50/p95 per-token step latency from the
+//! `rl.step.latency_us` histogram. The histogram is reset between phases
+//! and every phase row records its own lane width, so rows are comparable
+//! in isolation. Results go to `BENCH_train.json` and `BENCH_generate.json`
+//! in `--out` (default: current directory); `BENCH_train.json` records the
+//! command line, git revision and hardware thread count.
 //!
 //! The sweeps run batch sizes 1/4/8/16 by default; `--batch <B>` narrows
 //! them to `[1, B]` (used by CI to keep the smoke run fast). `--quant`
@@ -37,10 +37,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 struct TrainPhase {
-    threads: usize,
-    /// Lockstep training lanes (batched BPTT); 1 = serial updates.
+    /// Lockstep training lanes (batched BPTT); 1 = one update per episode.
     batch: usize,
-    hardware_threads: usize,
     seconds: f64,
     episodes_per_sec: f64,
     tokens_per_sec: f64,
@@ -58,13 +56,11 @@ fn run_train(
     constraint: Constraint,
     seed: u64,
     episodes: usize,
-    threads: usize,
     batch: usize,
     refine: bool,
     hist: &Histogram,
 ) -> (LearnedSqlGen, TrainPhase) {
     let cfg = harness_gen_config(seed)
-        .with_threads(threads)
         .with_batch_size(batch)
         .with_refine(refine);
     let mut g = LearnedSqlGen::new(db, constraint, cfg);
@@ -73,9 +69,7 @@ fn run_train(
     g.train(episodes);
     let seconds = start.elapsed().as_secs_f64();
     let phase = TrainPhase {
-        threads,
         batch,
-        hardware_threads: std::thread::available_parallelism().map_or(1, |p| p.get()),
         seconds,
         episodes_per_sec: episodes as f64 / seconds,
         // Every step records one latency sample, so the histogram count is
@@ -89,17 +83,10 @@ fn run_train(
 
 fn phase_json(p: &TrainPhase) -> String {
     format!(
-        "{{\"threads\": {}, \"batch\": {}, \"hardware_threads\": {}, \"seconds\": {:.3}, \
+        "{{\"batch\": {}, \"seconds\": {:.3}, \
          \"episodes_per_sec\": {:.2}, \"tokens_per_sec\": {:.1}, \
          \"step_latency_p50_us\": {:.2}, \"step_latency_p95_us\": {:.2}}}",
-        p.threads,
-        p.batch,
-        p.hardware_threads,
-        p.seconds,
-        p.episodes_per_sec,
-        p.tokens_per_sec,
-        p.step_p50_us,
-        p.step_p95_us
+        p.batch, p.seconds, p.episodes_per_sec, p.tokens_per_sec, p.step_p50_us, p.step_p95_us
     )
 }
 
@@ -224,18 +211,8 @@ fn main() {
     sqlgen_obs::enable_metrics();
 
     let hw_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
-    let par = if args.threads > 1 { args.threads } else { 4 };
-    let note = if hw_threads < par {
-        format!(
-            "machine exposes {hw_threads} hardware thread(s); the threads={par} phase \
-             exercises the parallel code path but cannot show real speedup here"
-        )
-    } else {
-        String::new()
-    };
-
     sqlgen_obs::obs_info!(
-        "[throughput] tpch scale={} seed={} train={} n={} threads=1 vs {par} (hw={hw_threads})",
+        "[throughput] tpch scale={} seed={} train={} n={} (hw threads={hw_threads})",
         args.scale,
         args.seed,
         args.train,
@@ -246,36 +223,17 @@ fn main() {
     let hist = sqlgen_obs::metrics::global().histogram("rl.step.latency_us");
 
     // --- training phases ---------------------------------------------------
-    let (mut warm, serial) = run_train(&db, constraint, args.seed, args.train, 1, 1, refine, &hist);
-    sqlgen_obs::obs_info!(
-        "[throughput] train threads=1: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
-        serial.episodes_per_sec,
-        serial.tokens_per_sec,
-        serial.step_p50_us,
-        serial.step_p95_us
-    );
-    let (_, parallel) = run_train(
-        &db, constraint, args.seed, args.train, par, 1, refine, &hist,
-    );
-    sqlgen_obs::obs_info!(
-        "[throughput] train threads={par}: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
-        parallel.episodes_per_sec,
-        parallel.tokens_per_sec,
-        parallel.step_p50_us,
-        parallel.step_p95_us
-    );
-    let speedup = parallel.episodes_per_sec / serial.episodes_per_sec;
-
-    // Lane-batched training sweep (batched BPTT, single thread). `--batch B`
-    // narrows it for the CI smoke run.
+    // One lane first (its policy warms the inference sweep), then the
+    // lane-batched sweep; `--batch B` narrows it for the CI smoke run.
     let train_sweep: Vec<usize> = if args.batch > 1 {
-        vec![args.batch]
+        vec![1, args.batch]
     } else {
-        vec![4, 8, 16]
+        vec![1, 4, 8, 16]
     };
-    let mut batched_phases = Vec::with_capacity(train_sweep.len());
+    let mut warm = None;
+    let mut train_phases = Vec::with_capacity(train_sweep.len());
     for &bs in &train_sweep {
-        let (_, p) = run_train(&db, constraint, args.seed, args.train, 1, bs, refine, &hist);
+        let (g, p) = run_train(&db, constraint, args.seed, args.train, bs, refine, &hist);
         sqlgen_obs::obs_info!(
             "[throughput] train batch={bs}: {:.1} eps/s, {:.0} tok/s, step p50 {:.1}us p95 {:.1}us",
             p.episodes_per_sec,
@@ -283,44 +241,48 @@ fn main() {
             p.step_p50_us,
             p.step_p95_us
         );
-        batched_phases.push(p);
+        warm.get_or_insert(g);
+        train_phases.push(p);
     }
-    let best_batched = batched_phases
+    let mut warm = warm.expect("train sweep starts at one lane");
+    let serial = &train_phases[0];
+    let best_batched = train_phases[1..]
         .iter()
         .max_by(|a, b| a.episodes_per_sec.total_cmp(&b.episodes_per_sec))
         .expect("train sweep has a batched phase");
     let batched_speedup = best_batched.episodes_per_sec / serial.episodes_per_sec;
     sqlgen_obs::obs_info!(
-        "[throughput] train batch={} vs serial: {:.2}x episodes/sec",
+        "[throughput] train batch={} vs batch=1: {:.2}x episodes/sec",
         best_batched.batch,
         batched_speedup
     );
 
+    let command: Vec<String> = std::env::args().collect();
     let mut train_json = String::from("{\n");
+    let _ = writeln!(
+        train_json,
+        "  \"command\": {},",
+        json_str(&command.join(" "))
+    );
+    let _ = writeln!(
+        train_json,
+        "  \"git_revision\": {},",
+        json_str(&git_revision())
+    );
     let _ = writeln!(train_json, "  \"benchmark\": \"tpch\",");
     let _ = writeln!(train_json, "  \"scale\": {},", args.scale);
     let _ = writeln!(train_json, "  \"seed\": {},", args.seed);
     let _ = writeln!(train_json, "  \"train_episodes\": {},", args.train);
     let _ = writeln!(train_json, "  \"hardware_threads\": {hw_threads},");
-    let _ = writeln!(train_json, "  \"note\": {},", json_str(&note));
-    let _ = writeln!(
-        train_json,
-        "  \"inference_batching\": {},",
-        json_str(
-            "batched GEMM lanes apply to the inference path; see \
-             BENCH_generate.json batch_sweep. Training rollouts use --threads \
-             or --batch (lane-batched BPTT, one accumulated step per round)."
-        )
-    );
-    let mut phase_rows: Vec<String> = vec![phase_json(&serial), phase_json(&parallel)];
-    phase_rows.extend(batched_phases.iter().map(phase_json));
-    let indented: Vec<String> = phase_rows.iter().map(|r| format!("    {r}")).collect();
+    let indented: Vec<String> = train_phases
+        .iter()
+        .map(|p| format!("    {}", phase_json(p)))
+        .collect();
     let _ = writeln!(
         train_json,
         "  \"phases\": [\n{}\n  ],",
         indented.join(",\n")
     );
-    let _ = writeln!(train_json, "  \"speedup_vs_serial\": {speedup:.2},");
     let _ = writeln!(
         train_json,
         "  \"batched_train_speedup_vs_serial\": {{\"batch\": {}, \"vs_batch_1\": {:.2}}}",
@@ -507,6 +469,29 @@ fn json_str(s: &str) -> String {
     }
     out.push('"');
     out
+}
+
+/// The checked-out git revision, suffixed `-dirty` when tracked files
+/// differ from it; `"unknown"` outside a git checkout.
+fn git_revision() -> String {
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
+    };
+    match git(&["rev-parse", "HEAD"]) {
+        Some(rev)
+            if git(&["status", "--porcelain", "--untracked-files=no"])
+                .is_some_and(|s| !s.is_empty()) =>
+        {
+            format!("{rev}-dirty")
+        }
+        Some(rev) => rev,
+        None => "unknown".to_string(),
+    }
 }
 
 fn write_out(dir: &str, name: &str, content: &str) {

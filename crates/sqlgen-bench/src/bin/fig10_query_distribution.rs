@@ -21,7 +21,7 @@ fn generate(
     fsm: FsmConfig,
     args: &HarnessArgs,
 ) -> Vec<GeneratedQuery> {
-    let mut cfg = harness_gen_config(bed.seed).with_threads(args.threads);
+    let mut cfg = harness_gen_config(bed.seed).with_batch_size(args.batch);
     cfg.fsm = fsm;
     let mut g = LearnedSqlGen::new(&bed.db, constraint, cfg);
     g.train(args.train);

@@ -93,7 +93,7 @@ fn main() {
         let mut series: Vec<Vec<f64>> = Vec::new();
         for (label, constraint) in &constraints {
             sqlgen_obs::obs_info!("[fig11] {kind} / {label}");
-            let mut cfg = harness_gen_config(bed.seed).with_threads(args.threads);
+            let mut cfg = harness_gen_config(bed.seed).with_batch_size(args.batch);
             cfg.fsm = fsm_for(kind);
             let start = Instant::now();
             let mut g = LearnedSqlGen::new(&bed.db, *constraint, cfg);

@@ -73,7 +73,7 @@ fn main() {
             for s in 0..SEEDS {
                 let start = Instant::now();
                 let mut cfg =
-                    harness_gen_config(bed.seed ^ (s * 0x9e37)).with_threads(args.threads);
+                    harness_gen_config(bed.seed ^ (s * 0x9e37)).with_batch_size(args.batch);
                 cfg.sample = SampleConfig {
                     k,
                     ..Default::default()

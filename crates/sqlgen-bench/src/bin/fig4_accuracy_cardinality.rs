@@ -64,7 +64,7 @@ fn main() {
             sqlgen_obs::obs_info!("[fig4] {} / {label}", benchmark.name());
             let rnd = random_accuracy(&bed, constraint, args.n);
             let tpl = template_accuracy(&bed, constraint, args.n);
-            let lrn = learned_accuracy(&bed, constraint, args.train, args.n, args.threads);
+            let lrn = learned_accuracy(&bed, constraint, args.train, args.n, args.batch);
             table.row(vec![
                 benchmark.name().to_string(),
                 label,

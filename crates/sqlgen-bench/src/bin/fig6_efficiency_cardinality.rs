@@ -61,7 +61,7 @@ fn main() {
             sqlgen_obs::obs_info!("[fig6] {} / {label}", benchmark.name());
             let rnd = random_efficiency(&bed, constraint, args.n);
             let tpl = template_efficiency(&bed, constraint, args.n);
-            let lrn = learned_efficiency(&bed, constraint, args.train, args.n, args.threads);
+            let lrn = learned_efficiency(&bed, constraint, args.train, args.n, args.batch);
             table.row(vec![
                 benchmark.name().to_string(),
                 label,

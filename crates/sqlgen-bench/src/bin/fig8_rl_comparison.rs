@@ -31,15 +31,15 @@ enum Algo {
 impl Algo {
     fn train_episode(&mut self, env: &SqlGenEnv) -> sqlgen_rl::Episode {
         match self {
-            Algo::Reinforce(t) => t.train_episode(env),
-            Algo::ActorCritic(t) => t.train_episode(env),
+            Algo::Reinforce(t) => t.train(env, 1, 1).remove(0),
+            Algo::ActorCritic(t) => t.train(env, 1, 1).remove(0),
         }
     }
 
     fn generate(&mut self, env: &SqlGenEnv) -> sqlgen_rl::Episode {
         match self {
-            Algo::Reinforce(t) => t.generate(env),
-            Algo::ActorCritic(t) => t.generate(env),
+            Algo::Reinforce(t) => t.generate(None, env, 1, 1).remove(0),
+            Algo::ActorCritic(t) => t.generate(None, env, 1, 1).remove(0),
         }
     }
 }

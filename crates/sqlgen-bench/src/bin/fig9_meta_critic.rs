@@ -174,9 +174,10 @@ fn main() {
 
         // Scratch: fresh actor-critic.
         let mut scratch = ActorCritic::new(bed.vocab.size(), train_cfg(args.seed ^ 2));
-        let (sec_scratch, trace_scratch) =
-            adapt(&env, adapt_episodes, args.n, |e| scratch.train_episode(e));
-        let acc_scratch = evaluate(&env, args.n, |e| scratch.generate(e));
+        let (sec_scratch, trace_scratch) = adapt(&env, adapt_episodes, args.n, |e| {
+            scratch.train(e, 1, 1).remove(0)
+        });
+        let acc_scratch = evaluate(&env, args.n, |e| scratch.generate(None, e, 1, 1).remove(0));
         let r_scratch = AdaptResult {
             accuracy: acc_scratch,
             seconds: sec_scratch,

@@ -85,7 +85,6 @@ pub fn harness_gen_config(seed: u64) -> GenConfig {
         },
         algorithm: Algorithm::ActorCritic,
         default_train_episodes: 400,
-        threads: 1,
         batch_size: 1,
         quantize: false,
         refine: RefineConfig::default(),
@@ -99,10 +98,10 @@ pub fn learned_accuracy(
     constraint: Constraint,
     train_episodes: usize,
     n: usize,
-    threads: usize,
+    lanes: usize,
 ) -> MethodResult {
     let start = Instant::now();
-    let mut cfg = harness_gen_config(bed.seed).with_threads(threads);
+    let mut cfg = harness_gen_config(bed.seed).with_batch_size(lanes);
     cfg.sample = SampleConfig {
         k: 100,
         ..Default::default()
@@ -159,10 +158,10 @@ pub fn learned_efficiency(
     constraint: Constraint,
     train_episodes: usize,
     n: usize,
-    threads: usize,
+    lanes: usize,
 ) -> MethodResult {
     let start = Instant::now();
-    let mut cfg = harness_gen_config(bed.seed).with_threads(threads);
+    let mut cfg = harness_gen_config(bed.seed).with_batch_size(lanes);
     cfg.sample = SampleConfig {
         k: 100,
         ..Default::default()

@@ -15,8 +15,8 @@
 //! without a header are parsed as the legacy bare-`ActorNet` JSON emitted
 //! by `save_actor` before this format existed.
 //!
-//! [`write_atomic`] publishes checkpoints via tmp-file + `rename` so a
-//! concurrently-scanning model registry never observes a torn file.
+//! [`write_atomic`] publishes checkpoints via fsynced tmp-file + `rename`
+//! so a concurrently-scanning model registry never observes a torn file.
 
 use serde::{Deserialize, Serialize};
 use sqlgen_rl::{ActorNet, Constraint, CriticNet, NetConfig, QuantizedActor};
@@ -41,6 +41,14 @@ pub enum CheckpointError {
     /// The checkpoint's network was trained over a different action space
     /// than the loader's vocabulary.
     VocabMismatch { expected: usize, found: usize },
+    /// A weight tensor holds NaN or ±inf (e.g. a literal past the f32 range,
+    /// which parses to inf); serving from it would emit NaN logits.
+    NonFinite {
+        /// `"actor"` or `"critic"`.
+        network: &'static str,
+        /// Index of the tensor in the network's parameter order.
+        tensor: usize,
+    },
     /// Filesystem error while reading or (atomically) writing.
     Io(String),
 }
@@ -59,6 +67,10 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint vocabulary size {found} does not match the current action space {expected} \
                  (was it trained on a different schema or sample config?)"
+            ),
+            CheckpointError::NonFinite { network, tensor } => write!(
+                f,
+                "checkpoint {network} tensor #{tensor} holds a non-finite weight (NaN or inf)"
             ),
             CheckpointError::Io(e) => write!(f, "checkpoint io: {e}"),
         }
@@ -118,11 +130,15 @@ impl Checkpoint {
     }
 
     /// Parses either a versioned checkpoint or legacy bare-actor JSON.
-    /// Weight buffers are restored; the result is ready to run.
+    /// Every weight must be finite; buffers are restored and the result is
+    /// ready to run. Every load path — CLI, `serve --checkpoint`, registry
+    /// hot-swap — goes through here.
     pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
         let mut ckpt = Self::parse_raw(text)?;
+        check_finite("actor", ckpt.actor.params_mut())?;
         ckpt.actor.restore_buffers();
         if let Some(critic) = &mut ckpt.critic {
+            check_finite("critic", critic.params_mut())?;
             critic.restore_buffers();
         }
         Ok(ckpt)
@@ -183,15 +199,27 @@ impl Checkpoint {
     }
 }
 
-/// Writes `contents` to `path` atomically (tmp file in the same directory +
-/// `rename`), so concurrent readers see either the old file or the new one,
-/// never a torn write.
+/// Rejects a network whose weights hold any NaN or ±inf.
+fn check_finite(
+    network: &'static str,
+    params: Vec<&mut sqlgen_nn::Param>,
+) -> Result<(), CheckpointError> {
+    match params
+        .iter()
+        .position(|p| !p.value.data.iter().all(|w| w.is_finite()))
+    {
+        Some(tensor) => Err(CheckpointError::NonFinite { network, tensor }),
+        None => Ok(()),
+    }
+}
+
+/// Writes `contents` to `path` atomically and durably (fsynced tmp file in
+/// the same directory + `rename` + directory fsync), so concurrent readers
+/// see either the old file or the new one, never a torn write — also
+/// across a crash.
 pub fn write_atomic(path: &Path, contents: &str) -> Result<(), CheckpointError> {
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    std::fs::write(&tmp, contents)?;
-    std::fs::rename(&tmp, path).map_err(|e| {
-        let _ = std::fs::remove_file(&tmp);
-        CheckpointError::Io(e.to_string())
+    sqlgen_storage::durable::replace_file(path, |tmp| {
+        std::fs::write(tmp, contents).map_err(CheckpointError::from)
     })
 }
 
@@ -288,6 +316,42 @@ mod tests {
         assert!(matches!(
             Checkpoint::parse("sqlgen-checkpoint v1\nnot json").unwrap_err(),
             CheckpointError::Parse(_)
+        ));
+    }
+
+    /// Overwrites the first weight of the first tensor in `text` with
+    /// `literal`.
+    fn with_first_weight(text: &str, literal: &str) -> String {
+        let start = text.find("\"data\":[").expect("a tensor") + "\"data\":[".len();
+        let end = start + text[start..].find([',', ']']).expect("a weight");
+        let mut out = text.to_string();
+        out.replace_range(start..end, literal);
+        out
+    }
+
+    /// `1e39` is past the f32 range and parses to inf; such a checkpoint
+    /// must be refused, not served (it would yield NaN logits).
+    #[test]
+    fn non_finite_weights_are_rejected() {
+        let text = Checkpoint::legacy(small_actor(9)).render();
+        assert!(Checkpoint::parse(&with_first_weight(&text, "0.5")).is_ok());
+        let bad = with_first_weight(&text, "1e39");
+        assert_eq!(
+            Checkpoint::parse(&bad).unwrap_err(),
+            CheckpointError::NonFinite {
+                network: "actor",
+                tensor: 0
+            }
+        );
+        assert!(matches!(
+            Checkpoint::parse_for_vocab(&bad, 9).unwrap_err(),
+            CheckpointError::NonFinite { .. }
+        ));
+        // Legacy headerless JSON goes through the same check.
+        let legacy = serde_json::to_string(&small_actor(9)).unwrap();
+        assert!(matches!(
+            Checkpoint::parse(&with_first_weight(&legacy, "-1e39")).unwrap_err(),
+            CheckpointError::NonFinite { .. }
         ));
     }
 

@@ -26,21 +26,15 @@ pub struct GenConfig {
     pub algorithm: Algorithm,
     /// Default number of training episodes used by `train_default`.
     pub default_train_episodes: usize,
-    /// Worker threads for episode collection. `1` (the default) keeps the
-    /// exact single-threaded rollout sequence — bit-identical results for a
-    /// fixed seed. Values > 1 fan rollouts across scoped threads; each
-    /// `(seed, threads)` pair is reproducible, but different `threads`
-    /// values are different (deterministic) runs.
-    pub threads: usize,
-    /// Lockstep GEMM lanes for batched inference. `1` (the default) keeps
-    /// the exact single-stream rollout sequence — bit-identical results
-    /// for a fixed seed. Values > 1 advance that many rollouts per step
-    /// through batched kernels with continuous lane refill; each
-    /// `(seed, batch_size)` pair is reproducible. When both are set,
-    /// `batch_size > 1` takes precedence over `threads` for inference.
-    /// `batch_size > 1` also selects lane-batched training (batched BPTT
-    /// with one accumulated gradient step per round of `batch_size`
-    /// episodes; see `sqlgen_rl::train_batch`).
+    /// Lockstep GEMM lanes of the rollout engine, for training and
+    /// inference alike. `1` (the default) rolls one episode at a time on
+    /// the trainer's own RNG stream — bit-identical to the original serial
+    /// loops for a fixed seed. Values > 1 advance that many rollouts per
+    /// step through batched kernels (continuous lane refill for
+    /// inference; batched BPTT with one accumulated gradient step per
+    /// round of `batch_size` episodes for training, see
+    /// `sqlgen_rl::train_batch`); each `(seed, batch_size)` pair is
+    /// reproducible.
     pub batch_size: usize,
     /// Run inference on an int8 per-output-channel quantized snapshot of
     /// the actor (see `sqlgen_nn::quant`). `false` (the default) keeps the
@@ -71,7 +65,6 @@ impl Default for GenConfig {
             train: TrainConfig::default(),
             algorithm: Algorithm::ActorCritic,
             default_train_episodes: 600,
-            threads: 1,
             batch_size: 1,
             quantize: false,
             refine: RefineConfig::default(),
@@ -116,11 +109,6 @@ impl GenConfig {
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.train.seed = seed;
         self.sample.seed = seed ^ 0x5a5a;
-        self
-    }
-
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
         self
     }
 
@@ -190,20 +178,16 @@ mod tests {
         let c = GenConfig::fast()
             .with_algorithm(Algorithm::Reinforce)
             .with_seed(99)
-            .with_threads(4)
             .with_batch_size(8)
             .with_quantize(true);
         assert_eq!(c.algorithm, Algorithm::Reinforce);
         assert_eq!(c.train.seed, 99);
         assert_eq!(c.sample.seed, 99 ^ 0x5a5a);
-        assert_eq!(c.threads, 4);
         assert_eq!(c.batch_size, 8);
         assert!(c.quantize);
         assert!(!GenConfig::default().quantize);
-        // threads/batch_size must never be 0, and default to serial paths.
-        assert_eq!(GenConfig::default().threads, 1);
+        // batch_size must never be 0, and defaults to one lane.
         assert_eq!(GenConfig::default().batch_size, 1);
-        assert_eq!(GenConfig::fast().with_threads(0).threads, 1);
         assert_eq!(GenConfig::fast().with_batch_size(0).batch_size, 1);
     }
 

@@ -7,8 +7,8 @@ use crate::refine::Refiner;
 use sqlgen_engine::{render, Estimator, Statement};
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
-    run_jobs_batched, worker_seed, ActorCritic, Constraint, Episode, EstimatorCache, ExecDb, Job,
-    JobOutcome, QuantizedActor, Reinforce, SqlGenEnv,
+    run_jobs_batched, worker_seed, ActorCritic, Constraint, Episode, EstimatorCache, ExecDb,
+    InferActor, Job, JobOutcome, QuantizedActor, Reinforce, SqlGenEnv,
 };
 use sqlgen_storage::Database;
 use std::sync::Arc;
@@ -38,6 +38,30 @@ pub struct TrainStats {
 enum Trainer {
     Reinforce(Box<Reinforce>),
     ActorCritic(Box<ActorCritic>),
+}
+
+impl Trainer {
+    fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
+        match self {
+            Trainer::Reinforce(t) => t.train(env, episodes, lanes),
+            Trainer::ActorCritic(t) => t.train(env, episodes, lanes),
+        }
+    }
+
+    /// `n` raw policy samples from the trainer's RNG stream, on `actor`
+    /// (the int8 snapshot) or, when `None`, the trainer's f32 actor.
+    fn generate(
+        &mut self,
+        actor: Option<&dyn InferActor>,
+        env: &SqlGenEnv,
+        n: usize,
+        lanes: usize,
+    ) -> Vec<Episode> {
+        match self {
+            Trainer::Reinforce(t) => t.generate(actor, env, n, lanes),
+            Trainer::ActorCritic(t) => t.generate(actor, env, n, lanes),
+        }
+    }
 }
 
 /// Constraint-aware SQL generator.
@@ -172,6 +196,15 @@ impl LearnedSqlGen {
         }
     }
 
+    /// The actor inference runs on: the int8 snapshot when quantized,
+    /// otherwise the f32 actor.
+    fn infer_actor(&self) -> &dyn InferActor {
+        match &self.quant {
+            Some(q) => q,
+            None => self.actor(),
+        }
+    }
+
     /// Rebuilds (or drops) the int8 snapshot from the current f32 weights.
     fn refresh_quant(&mut self) {
         self.quant = if self.config.quantize {
@@ -225,19 +258,18 @@ impl LearnedSqlGen {
         )
     }
 
-    /// Overrides the inference batch width (lockstep GEMM lanes); used by
-    /// the benchmark sweep. `1` restores the serial path.
+    /// Overrides the lane width (lockstep GEMM lanes); used by the
+    /// benchmark sweep. `1` restores the one-episode-at-a-time streams.
     pub fn set_batch_size(&mut self, batch_size: usize) {
         self.config.batch_size = batch_size.max(1);
     }
 
     /// Trains for `episodes` episodes (Algorithm 1 / Algorithm 3).
     ///
-    /// With `config.batch_size > 1` rollouts advance in lockstep GEMM
-    /// lanes and updates use batched BPTT with one accumulated gradient
-    /// step per round of `batch_size` episodes. Otherwise rollouts are
-    /// collected with `config.threads` workers (1 = the exact serial
-    /// sequence) and updates are applied serially in episode order.
+    /// Rollouts advance in `config.batch_size` lockstep GEMM lanes and
+    /// updates use batched BPTT with one accumulated gradient step per
+    /// round of `batch_size` episodes; width 1 is one episode and one
+    /// update per round.
     pub fn train(&mut self, episodes: usize) -> &TrainStats {
         let _span = sqlgen_obs::obs_span!("gen.train");
         let started = std::time::Instant::now();
@@ -253,14 +285,9 @@ impl LearnedSqlGen {
             &self.cache,
             self.exec_db.as_deref(),
         );
-        let threads = self.config.threads.max(1);
-        let batch = self.config.batch_size.max(1);
-        let eps = match &mut self.trainer {
-            Trainer::Reinforce(t) if batch > 1 => t.train_batched(&env, episodes, batch),
-            Trainer::ActorCritic(t) if batch > 1 => t.train_batched(&env, episodes, batch),
-            Trainer::Reinforce(t) => t.train_batch(&env, episodes, threads),
-            Trainer::ActorCritic(t) => t.train_batch(&env, episodes, threads),
-        };
+        let eps = self
+            .trainer
+            .train(&env, episodes, self.config.batch_size.max(1));
         for ep in &eps {
             reward_sum += ep.total_reward() as f64;
             tokens += ep.len();
@@ -304,16 +331,9 @@ impl LearnedSqlGen {
             &self.cache,
             self.exec_db.as_deref(),
         );
-        let threads = self.config.threads.max(1);
         let batch = self.config.batch_size.max(1);
-        let mut eps = roll_episodes(
-            &mut self.trainer,
-            self.quant.as_ref(),
-            &env,
-            n,
-            batch,
-            threads,
-        );
+        let quant = self.quant.as_ref().map(|q| q as &dyn InferActor);
+        let mut eps = self.trainer.generate(quant, &env, n, batch);
         let mut tokens: usize = eps.iter().map(Episode::len).sum();
         if self.refiner.enabled() {
             // Post-EOS repair: token streams above are untouched, only the
@@ -339,14 +359,7 @@ impl LearnedSqlGen {
                 }
                 let draws = missing.len().max(batch);
                 sqlgen_obs::obs_count!("refine.resampled", draws as u64);
-                let fresh = roll_episodes(
-                    &mut self.trainer,
-                    self.quant.as_ref(),
-                    &env,
-                    draws,
-                    batch,
-                    threads,
-                );
+                let fresh = self.trainer.generate(quant, &env, draws, batch);
                 let mut slots = missing.into_iter();
                 let mut slot = slots.next();
                 for mut ep in fresh {
@@ -381,10 +394,9 @@ impl LearnedSqlGen {
     ) -> (Vec<GeneratedQuery>, usize) {
         let mut out = Vec::with_capacity(n);
         let mut attempts = 0;
-        // Attempts proceed a chunk at a time: one per worker thread or one
-        // per lockstep lane, whichever engine is wider (still within the
-        // budget); threads = batch_size = 1 reproduces the serial loop.
-        let chunk = self.config.threads.max(self.config.batch_size).max(1);
+        // Attempts proceed one lockstep lane width at a time (still within
+        // the budget); batch_size = 1 reproduces the one-at-a-time loop.
+        let chunk = self.config.batch_size.max(1);
         while out.len() < n && attempts < max_attempts {
             let batch = chunk.min(max_attempts - attempts);
             attempts += batch;
@@ -410,16 +422,10 @@ impl LearnedSqlGen {
             &self.cache,
             self.exec_db.as_deref(),
         );
-        let threads = self.config.threads.max(1);
-        let batch = self.config.batch_size.max(1);
-        let eps = roll_episodes(
-            &mut self.trainer,
-            self.quant.as_ref(),
-            &env,
-            n,
-            batch,
-            threads,
-        );
+        let quant = self.quant.as_ref().map(|q| q as &dyn InferActor);
+        let eps = self
+            .trainer
+            .generate(quant, &env, n, self.config.batch_size.max(1));
         eps.iter().filter(|e| e.satisfied).count() as f64 / n.max(1) as f64
     }
 
@@ -429,8 +435,8 @@ impl LearnedSqlGen {
     }
 
     /// Generates `n` queries whose token streams are a pure function of
-    /// `(weights, constraint, seed)` — independent of `batch_size`, of
-    /// threads, and of anything else running in the process. Query `j` uses
+    /// `(weights, constraint, seed)` — independent of `batch_size` and of
+    /// anything else running in the process. Query `j` uses
     /// the per-job seed [`worker_seed`]`(seed, j)`, so the result is also
     /// what a server coalescing this request with others must return.
     pub fn generate_seeded(&self, n: usize, seed: u64) -> Vec<GeneratedQuery> {
@@ -473,11 +479,7 @@ impl LearnedSqlGen {
                 trace: trace.clone(),
             })
             .collect();
-        let tagged = if let Some(q) = &self.quant {
-            run_jobs_batched(q, jobs, lanes)
-        } else {
-            run_jobs_batched(self.actor(), jobs, lanes)
-        };
+        let tagged = run_jobs_batched(self.infer_actor(), jobs, lanes);
         // Job-indexed slots so refinement/resampling can replace a miss in
         // place; `None` marks an expired job.
         let mut slots: Vec<Option<GeneratedQuery>> = (0..n).map(|_| None).collect();
@@ -535,11 +537,7 @@ impl LearnedSqlGen {
                         })
                     })
                     .collect();
-                let redraws = if let Some(q) = &self.quant {
-                    run_jobs_batched(q, jobs, lanes)
-                } else {
-                    run_jobs_batched(self.actor(), jobs, lanes)
-                };
+                let redraws = run_jobs_batched(self.infer_actor(), jobs, lanes);
                 // Lowest satisfying round wins per slot, matching the
                 // sequential schedule.
                 let mut won: Vec<Option<usize>> = vec![None; n];
@@ -630,11 +628,7 @@ impl LearnedSqlGen {
     /// [`LearnedSqlGen::save_checkpoint`], which also carries the critic
     /// and config.
     pub fn save_actor(&self) -> String {
-        let actor = match &self.trainer {
-            Trainer::Reinforce(t) => &t.actor,
-            Trainer::ActorCritic(t) => &t.actor,
-        };
-        serde_json::to_string(actor).expect("actor serializes")
+        serde_json::to_string(self.actor()).expect("actor serializes")
     }
 
     /// Restores actor weights from either checkpoint format. Alias of
@@ -643,34 +637,6 @@ impl LearnedSqlGen {
     /// silently installing a mismatched policy.
     pub fn load_actor(&mut self, text: &str) -> Result<(), CheckpointError> {
         self.load_checkpoint(text)
-    }
-}
-
-/// Draws `n` raw policy samples from the trainer's RNG stream. With a
-/// quantized snapshot all generation runs through the lockstep engine on
-/// the int8 actor. Otherwise `batch > 1` selects the lockstep GEMM engine
-/// on f32 (threads cannot help on a single core; lanes can), and
-/// `batch = 1` preserves the legacy serial/threaded paths bit-for-bit.
-fn roll_episodes(
-    trainer: &mut Trainer,
-    quant: Option<&QuantizedActor>,
-    env: &SqlGenEnv,
-    n: usize,
-    batch: usize,
-    threads: usize,
-) -> Vec<Episode> {
-    if let Some(q) = quant {
-        match trainer {
-            Trainer::Reinforce(t) => t.generate_batched_quant(q, env, n, batch),
-            Trainer::ActorCritic(t) => t.generate_batched_quant(q, env, n, batch),
-        }
-    } else {
-        match trainer {
-            Trainer::Reinforce(t) if batch > 1 => t.generate_batched(env, n, batch),
-            Trainer::ActorCritic(t) if batch > 1 => t.generate_batched(env, n, batch),
-            Trainer::Reinforce(t) => t.generate_batch(env, n, threads),
-            Trainer::ActorCritic(t) => t.generate_batch(env, n, threads),
-        }
     }
 }
 
@@ -728,22 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn generated_queries_are_valid_sql_with_threads() {
-        let db = tpch_database(0.2, 21);
-        let mut g = LearnedSqlGen::new(
-            &db,
-            Constraint::cardinality_range(1.0, 100_000.0),
-            GenConfig::fast().with_threads(4),
-        );
-        g.train(50);
-        for q in g.generate(20) {
-            sqlgen_engine::validate(&db, &q.statement).unwrap();
-            let reparsed = sqlgen_engine::parse(&q.sql).unwrap();
-            assert_eq!(render(&reparsed), q.sql);
-        }
-    }
-
-    #[test]
     fn generated_queries_are_valid_sql_with_batching() {
         let db = tpch_database(0.2, 21);
         let mut g = LearnedSqlGen::new(
@@ -756,6 +706,27 @@ mod tests {
             sqlgen_engine::validate(&db, &q.statement).unwrap();
             let reparsed = sqlgen_engine::parse(&q.sql).unwrap();
             assert_eq!(render(&reparsed), q.sql);
+        }
+    }
+
+    /// Every generation width runs the lane engine, so every width reports
+    /// its lane occupancy (width 1 included).
+    #[test]
+    fn generate_records_lane_occupancy_at_every_width() {
+        let db = tpch_database(0.1, 21);
+        let occupancy = sqlgen_obs::metrics::global().histogram("rl.batch.occupancy");
+        for batch in [1usize, 4] {
+            let mut g = LearnedSqlGen::new(
+                &db,
+                Constraint::cardinality_range(1.0, 100_000.0),
+                GenConfig::fast().with_batch_size(batch),
+            );
+            let before = occupancy.count();
+            g.generate(8);
+            assert!(
+                occupancy.count() > before,
+                "width {batch}: no rl.batch.occupancy samples"
+            );
         }
     }
 

@@ -411,15 +411,16 @@ pub fn check_fsm_closure(rng: &mut StdRng) -> CheckResult {
     Ok(checks)
 }
 
-/// (f) Batch equivalence: batched lockstep generation at B ∈ {2, 4, 8}
+/// (f) Batch equivalence: batched lockstep generation at B ∈ {1, 2, 4, 8}
 /// yields per-lane token streams identical to serial runs seeded with the
 /// same lane seeds (`base ^ lane`), including across continuous lane
-/// refills, and every emitted query still passes the fsm-closure checks
+/// refills, hands each lane's stream back where the serial run leaves it,
+/// and every emitted query still passes the fsm-closure checks
 /// (render → parse → re-render fixpoint → validate → execute).
 pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
     use sqlgen_rl::{
-        run_episode_infer, worker_seed, ActorNet, BatchRollout, Constraint, InferRollout,
-        NetConfig, SqlGenEnv,
+        lane_rngs, run_episode_infer, worker_seed, ActorNet, BatchRollout, Constraint,
+        InferRollout, NetConfig, SqlGenEnv,
     };
     let db = dbgen::random_database(rng, &DbProfile::parseable());
     let vocab = Vocabulary::build(
@@ -446,16 +447,17 @@ pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
     let base: u64 = rng.random();
     let mut checks = 0;
     let mut ro = BatchRollout::new();
-    for &batch in &[2usize, 4, 8] {
+    for &batch in &[1usize, 2, 4, 8] {
         let n = batch + 2; // more jobs than lanes: exercises lane refill
-        let tagged = ro.collect_tagged(&actor, &env, n, batch, base);
+        let mut rngs = lane_rngs(base, batch);
+        let tagged = ro.collect_tagged(&actor, &env, n, &mut rngs);
         if tagged.len() != n {
             return Err(CheckFail::new(format!(
                 "batch {batch}: collected {} episodes, wanted {n}",
                 tagged.len()
             )));
         }
-        for lane in 0..batch.min(n) {
+        for (lane, lane_back) in rngs.iter_mut().enumerate() {
             let mut lane_eps: Vec<_> = tagged.iter().filter(|(_, l, _)| *l == lane).collect();
             lane_eps.sort_by_key(|(job, _, _)| *job);
             let mut lane_rng = StdRng::seed_from_u64(worker_seed(base, lane));
@@ -470,6 +472,11 @@ pub fn check_batch_equivalence(rng: &mut StdRng) -> CheckResult {
                     )));
                 }
                 checks += 1;
+            }
+            if lane_back.random::<u64>() != lane_rng.random::<u64>() {
+                return Err(CheckFail::new(format!(
+                    "batch {batch} lane {lane}: stream not handed back where the serial run stops"
+                )));
             }
         }
         for (_, _, ep) in &tagged {

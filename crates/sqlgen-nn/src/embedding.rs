@@ -64,11 +64,6 @@ impl Embedding {
         Mat::zeros(self.vocab_size(), self.dim())
     }
 
-    /// Reduces one lane's table-gradient buffer into `Param::grad`.
-    pub fn accumulate_grads(&mut self, grads: &Mat) {
-        self.table.grad.add_assign(grads);
-    }
-
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         vec![&mut self.table]
     }

@@ -20,13 +20,6 @@ pub struct LinearGrads {
     pub b: Mat,
 }
 
-impl LinearGrads {
-    pub fn reset(&mut self) {
-        self.w.fill(0.0);
-        self.b.fill(0.0);
-    }
-}
-
 impl Linear {
     pub fn new<R: Rng + ?Sized>(input: usize, output: usize, rng: &mut R) -> Self {
         Linear {
@@ -102,13 +95,6 @@ impl Linear {
             w: Mat::zeros(self.output_dim(), self.input_dim()),
             b: Mat::zeros(self.output_dim(), 1),
         }
-    }
-
-    /// Reduces one lane's gradient buffers into `Param::grad`. Callers
-    /// reduce lanes in ascending lane order for a deterministic sum.
-    pub fn accumulate_grads(&mut self, grads: &LinearGrads) {
-        self.w.grad.add_assign(&grads.w);
-        self.b.grad.add_assign(&grads.b);
     }
 
     /// Lane-batched backward: `x` is the `[batch × in]` forward input

@@ -141,14 +141,6 @@ pub struct LstmLayerGrads {
     pub b: Mat,
 }
 
-impl LstmLayerGrads {
-    pub fn reset(&mut self) {
-        self.w_ih.fill(0.0);
-        self.w_hh.fill(0.0);
-        self.b.fill(0.0);
-    }
-}
-
 /// Per-lane gradient buffers for a whole stack (one entry per layer).
 pub type LstmStackGrads = Vec<LstmLayerGrads>;
 
@@ -617,19 +609,24 @@ impl LstmStack {
 
     /// Zeroed batch state for `batch` concurrent lanes.
     pub fn zero_batch_state(&self, batch: usize) -> LstmBatchState {
-        LstmBatchState {
-            batch,
-            h: self
-                .layers
-                .iter()
-                .map(|l| vec![0.0; batch * l.hidden])
-                .collect(),
-            c: self
-                .layers
-                .iter()
-                .map(|l| vec![0.0; batch * l.hidden])
-                .collect(),
+        let mut state = LstmBatchState::default();
+        self.reset_batch_state(&mut state, batch);
+        state
+    }
+
+    /// Resets `state` to `batch` zeroed lanes in place, reusing its planes
+    /// (a recycled rollout allocates nothing once its planes have grown).
+    pub fn reset_batch_state(&self, state: &mut LstmBatchState, batch: usize) {
+        let layers = self.layers.len();
+        state.h.resize_with(layers, Vec::new);
+        state.c.resize_with(layers, Vec::new);
+        for (l, layer) in self.layers.iter().enumerate() {
+            for plane in [&mut state.h[l], &mut state.c[l]] {
+                plane.clear();
+                plane.resize(batch * layer.hidden, 0.0);
+            }
         }
+        state.batch = batch;
     }
 
     /// Gate-scratch length for a `batch`-lane step (`batch × 4 × hidden`).
@@ -750,17 +747,6 @@ impl LstmStack {
         self.layers.iter().map(LstmLayer::empty_grads).collect()
     }
 
-    /// Reduces one lane's gradient arena into the stack's `Param::grad`
-    /// buffers. Callers reduce lanes in **ascending lane order** so the
-    /// accumulated sum is deterministic.
-    pub fn accumulate_grads(&mut self, grads: &LstmStackGrads) {
-        for (layer, g) in self.layers.iter_mut().zip(grads) {
-            layer.w_ih.grad.add_assign(&g.w_ih);
-            layer.w_hh.grad.add_assign(&g.w_hh);
-            layer.b.grad.add_assign(&g.b);
-        }
-    }
-
     /// Lane-batched backward through `batch` ragged sequences at once —
     /// the training sibling of the batched inference step.
     ///
@@ -780,8 +766,7 @@ impl LstmStack {
     /// products are batched through [`Mat::matvec_t_batch`] (bit-identical
     /// per lane), so each arena equals a serial backward of that lane
     /// alone — the lane-vs-serial equality tests pin this down. The caller
-    /// then reduces the arenas with [`LstmStack::accumulate_grads`] in
-    /// ascending lane order.
+    /// then reduces the arenas into `Param::grad` in ascending lane order.
     pub fn backward_sequence_batch_with<'c>(
         &self,
         batch: usize,

@@ -67,13 +67,13 @@ impl AcExtend {
     /// Trains one episode under the environment's constraint.
     pub fn train_episode(&mut self, env: &SqlGenEnv) -> Episode {
         self.set_constraint(&env.constraint.clone());
-        self.ac.train_episode(env)
+        self.ac.train(env, 1, 1).remove(0)
     }
 
     /// Inference under the environment's constraint.
     pub fn generate(&mut self, env: &SqlGenEnv) -> Episode {
         self.set_constraint(&env.constraint.clone());
-        self.ac.generate(env)
+        self.ac.generate(None, env, 1, 1).remove(0)
     }
 }
 

@@ -5,17 +5,15 @@
 //! loss `(r_t + V(s_{t+1}) − V(s_t))²` treated semi-gradient (the target is
 //! a constant w.r.t. φ).
 
+use crate::batch::{with_lane_rngs, BatchRollout};
 use crate::env::SqlGenEnv;
-use crate::episode::{run_episode_infer, run_episode_into, Episode, InferRollout, Rollout};
-use crate::nets::{
-    ActorNet, ActorStep, CriticNet, CriticStep, NetGradsBatch, NetScratch, QuantizedActor,
-};
-use crate::parallel::collect_episodes;
+use crate::episode::Episode;
+use crate::nets::{ActorNet, CriticNet, InferActor, NetGradsBatch};
 use crate::reinforce::TrainConfig;
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
-use sqlgen_nn::{clip_grad_norm, Adam, Optimizer, StackState};
+use rand::{Rng, SeedableRng};
+use sqlgen_nn::{clip_grad_norm, Adam, Optimizer};
 
 /// Actor-critic trainer — the algorithm LearnedSQLGen ships with.
 pub struct ActorCritic {
@@ -25,17 +23,17 @@ pub struct ActorCritic {
     opt_actor: Adam,
     opt_critic: Adam,
     rng: StdRng,
-    /// Recycled actor-rollout arena.
-    rollout: Rollout,
-    /// Recycled inference-rollout buffers.
-    infer: InferRollout,
-    /// Recycled critic-step arena (`csteps[..n]` live per episode).
-    csteps: Vec<CriticStep>,
-    cstate: StackState,
-    cscratch: NetScratch,
+    /// Recycled lane-batched training buffers (actor and critic arenas).
+    rollout: TrainRollout,
+    /// Recycled per-lane gradient arenas.
+    agrads: NetGradsBatch,
+    cgrads: NetGradsBatch,
+    /// Recycled per-lane TD terms.
+    advantages: Vec<Vec<f32>>,
+    dvalues: Vec<Vec<f32>>,
     values: Vec<f32>,
-    advantages: Vec<f32>,
-    dvalues: Vec<f32>,
+    /// Recycled inference-engine buffers.
+    infer: BatchRollout,
 }
 
 impl ActorCritic {
@@ -55,43 +53,14 @@ impl ActorCritic {
             opt_critic: Adam::new(cfg.lr_critic),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5eed),
             cfg,
-            rollout: Rollout::new(),
-            infer: InferRollout::new(),
-            csteps: Vec::new(),
-            cstate: StackState::new(),
-            cscratch: NetScratch::default(),
-            values: Vec::new(),
+            rollout: TrainRollout::new(),
+            agrads: NetGradsBatch::default(),
+            cgrads: NetGradsBatch::default(),
             advantages: Vec::new(),
             dvalues: Vec::new(),
+            values: Vec::new(),
+            infer: BatchRollout::new(),
         }
-    }
-
-    /// Runs the critic over an episode's input-token stream into the
-    /// recycled critic arena; returns the number of live steps.
-    fn critic_forward_into(
-        critic: &CriticNet,
-        steps: &[ActorStep],
-        train: bool,
-        rng: &mut StdRng,
-        csteps: &mut Vec<CriticStep>,
-        state: &mut StackState,
-        scratch: &mut NetScratch,
-    ) -> usize {
-        critic.lstm.reset_state(state);
-        for (t, s) in steps.iter().enumerate() {
-            if t == csteps.len() {
-                csteps.push(CriticStep::default());
-            }
-            // Step 0 fed the actor's start token (BOS or a context row);
-            // `None` makes the critic use its own start token there.
-            let prev = if s.input_token >= critic.vocab_size {
-                None
-            } else {
-                Some(s.input_token)
-            };
-            critic.step_into(prev, state, train, rng, &mut csteps[t], scratch);
-        }
-        steps.len()
     }
 
     /// TD advantages and critic-loss gradients for an episode.
@@ -119,161 +88,72 @@ impl ActorCritic {
         }
     }
 
-    /// One actor+critic update from a finished episode's steps/rewards.
-    fn apply_update(&mut self, steps: &[ActorStep], rewards: &[f32]) {
-        let mut crng = StdRng::seed_from_u64(self.rng.random::<u64>());
-        let mut csteps = std::mem::take(&mut self.csteps);
-        let mut cstate = std::mem::take(&mut self.cstate);
-        let mut cscratch = std::mem::take(&mut self.cscratch);
-        let n = Self::critic_forward_into(
-            &self.critic,
-            steps,
-            true,
-            &mut crng,
-            &mut csteps,
-            &mut cstate,
-            &mut cscratch,
-        );
-        self.values.clear();
-        self.values.extend(csteps[..n].iter().map(|s| s.value));
-        Self::td_terms_into(
-            &self.values,
-            rewards,
-            &mut self.advantages,
-            &mut self.dvalues,
-        );
-
-        self.actor.zero_grad();
-        self.actor
-            .backward_episode(steps, &self.advantages, self.cfg.lambda);
-        let mut ap = self.actor.params_mut();
-        clip_grad_norm(&mut ap, self.cfg.grad_clip);
-        self.opt_actor.step(&mut ap);
-
-        self.critic.zero_grad();
-        self.critic.backward_episode(&csteps[..n], &self.dvalues);
-        let mut cp = self.critic.params_mut();
-        clip_grad_norm(&mut cp, self.cfg.grad_clip);
-        self.opt_critic.step(&mut cp);
-
-        self.csteps = csteps;
-        self.cstate = cstate;
-        self.cscratch = cscratch;
-    }
-
-    /// Runs one training episode and updates both networks.
-    pub fn train_episode(&mut self, env: &SqlGenEnv) -> Episode {
-        let mut ro = std::mem::take(&mut self.rollout);
-        let ep = run_episode_into(&self.actor, env, true, &mut self.rng, &mut ro);
-        self.apply_update(ro.steps(), &ep.rewards);
-        self.rollout = ro;
-        ep
-    }
-
-    /// Trains on `episodes` episodes, collecting rollouts with `threads`
-    /// parallel workers and applying both networks' updates serially in
-    /// episode order. `threads <= 1` runs the exact single-threaded path
-    /// (bit-identical to [`ActorCritic::train_episode`] in a loop).
-    pub fn train_batch(
-        &mut self,
-        env: &SqlGenEnv,
-        episodes: usize,
-        threads: usize,
-    ) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut out = Vec::with_capacity(episodes);
-        let mut remaining = episodes;
-        while remaining > 0 {
-            // One round = one episode per worker, bounding policy staleness
-            // at `threads` episodes.
-            let batch = remaining.min(threads);
-            let base: u64 = self.rng.random();
-            for mut ep in collect_episodes(&self.actor, env, batch, true, batch, base) {
-                self.apply_update(&ep.steps, &ep.rewards);
-                ep.steps = Vec::new();
-                out.push(ep);
-            }
-            remaining -= batch;
-        }
-        out
-    }
-
-    /// Trains on `episodes` episodes with up to `batch` lockstep GEMM
-    /// lanes — both networks' forwards and backwards run lane-batched.
+    /// Trains on `episodes` episodes with `lanes` lockstep GEMM lanes —
+    /// both networks' forwards and backwards run lane-batched.
     ///
     /// Per round: one episode per lane under the current policy, per-lane
-    /// critic RNGs drawn up front in lane order (the serial path draws one
-    /// per episode just before its critic forward), a lockstep critic
-    /// forward over the collected token streams, one lane-batched backward
-    /// per network into per-lane gradient arenas, an ascending-lane-order
-    /// reduce, and **one** clipped Adam step per network per round.
-    /// `batch <= 1` is the exact legacy serial path; larger batches are
-    /// reproducible per `(seed, batch)` but a different deterministic run
-    /// than serial training (see [`crate::train_batch`]).
-    pub fn train_batched(
-        &mut self,
-        env: &SqlGenEnv,
-        episodes: usize,
-        batch: usize,
-    ) -> Vec<Episode> {
-        if batch <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut ro = TrainRollout::new();
-        let mut agrads = NetGradsBatch::default();
-        let mut cgrads = NetGradsBatch::default();
-        let mut advantages: Vec<Vec<f32>> = Vec::new();
-        let mut dvalues: Vec<Vec<f32>> = Vec::new();
+    /// critic RNGs drawn from the trainer stream in lane order after the
+    /// rollout, a lockstep critic forward over the collected token
+    /// streams, one lane-batched backward per network into per-lane
+    /// gradient arenas, an ascending-lane-order reduce, and **one**
+    /// clipped Adam step per network per round. `lanes <= 1` is one
+    /// episode and one update per round on the trainer's own RNG stream
+    /// (Algorithm 3 as written); see [`crate::train_batch`] and
+    /// [`with_lane_rngs`] for the contracts.
+    pub fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
         let mut out = Vec::with_capacity(episodes);
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
-            // at `batch` episodes (matching the threaded path).
-            let b = remaining.min(batch);
-            let base: u64 = self.rng.random();
-            let eps = ro.collect(&self.actor, env, b, base);
+            // at `lanes` episodes.
+            let b = remaining.min(lanes.max(1));
+            let (actor, ro) = (&self.actor, &mut self.rollout);
+            let eps = with_lane_rngs(&mut self.rng, lanes, b, |rngs| ro.collect(actor, env, rngs));
             let mut crngs: Vec<StdRng> = (0..b)
                 .map(|_| StdRng::seed_from_u64(self.rng.random::<u64>()))
                 .collect();
-            ro.critic_forward(&self.critic, b, &mut crngs);
-            if advantages.len() < b {
-                advantages.resize_with(b, Vec::new);
-                dvalues.resize_with(b, Vec::new);
+            self.rollout.critic_forward(&self.critic, b, &mut crngs);
+            if self.advantages.len() < b {
+                self.advantages.resize_with(b, Vec::new);
+                self.dvalues.resize_with(b, Vec::new);
             }
             for (lane, ep) in eps.iter().enumerate() {
+                let ro = &self.rollout;
                 self.values.clear();
                 self.values
                     .extend(ro.csteps[lane][..ro.lens[lane]].iter().map(|s| s.value));
                 Self::td_terms_into(
                     &self.values,
                     &ep.rewards,
-                    &mut advantages[lane],
-                    &mut dvalues[lane],
+                    &mut self.advantages[lane],
+                    &mut self.dvalues[lane],
                 );
             }
 
-            self.actor.ensure_grads(&mut agrads, b);
+            let ro = &self.rollout;
+            self.actor.ensure_grads(&mut self.agrads, b);
             self.actor.backward_episodes_batch(
                 b,
                 &ro.steps,
                 &ro.lens,
-                &advantages,
+                &self.advantages,
                 self.cfg.lambda,
-                &mut agrads,
+                &mut self.agrads,
             );
-            self.actor.zero_grad();
-            self.actor.accumulate_grads(&agrads, b);
+            self.actor.reduce_grads(&mut self.agrads, b);
             let mut ap = self.actor.params_mut();
             clip_grad_norm(&mut ap, self.cfg.grad_clip);
             self.opt_actor.step(&mut ap);
 
-            self.critic.ensure_grads(&mut cgrads, b);
-            self.critic
-                .backward_episodes_batch(b, &ro.csteps, &ro.lens, &dvalues, &mut cgrads);
-            self.critic.zero_grad();
-            self.critic.accumulate_grads(&cgrads, b);
+            self.critic.ensure_grads(&mut self.cgrads, b);
+            self.critic.backward_episodes_batch(
+                b,
+                &ro.csteps,
+                &ro.lens,
+                &self.dvalues,
+                &mut self.cgrads,
+            );
+            self.critic.reduce_grads(&mut self.cgrads, b);
             let mut cp = self.critic.params_mut();
             clip_grad_norm(&mut cp, self.cfg.grad_clip);
             self.opt_critic.step(&mut cp);
@@ -284,51 +164,25 @@ impl ActorCritic {
         out
     }
 
-    /// Inference: generate a query with the trained policy.
-    pub fn generate(&mut self, env: &SqlGenEnv) -> Episode {
-        run_episode_infer(&self.actor, env, &mut self.rng, &mut self.infer)
-    }
-
-    /// Generates `n` queries with `threads` parallel workers (no updates).
-    /// `threads <= 1` matches [`ActorCritic::generate`] in a loop
-    /// bit-for-bit.
-    pub fn generate_batch(&mut self, env: &SqlGenEnv, n: usize, threads: usize) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        collect_episodes(&self.actor, env, n, false, threads, base)
-    }
-
-    /// Generates `n` queries with `batch` lockstep GEMM lanes (no updates).
-    /// `batch <= 1` matches [`ActorCritic::generate`] in a loop
-    /// bit-for-bit; larger batches are reproducible per (seed, batch) —
-    /// see [`crate::batch`] for the determinism contract.
-    pub fn generate_batched(&mut self, env: &SqlGenEnv, n: usize, batch: usize) -> Vec<Episode> {
-        if batch <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        crate::batch::collect_episodes_batched(&self.actor, env, n, batch, base)
-    }
-
-    /// Generates `n` queries on an int8 snapshot of the actor with `batch`
-    /// lockstep lanes (no updates). Same engine and determinism contract
-    /// as [`ActorCritic::generate_batched`]; the sampled streams differ
-    /// from the f32 path only within the quantization error of the logits.
-    pub fn generate_batched_quant(
+    /// Generates `n` queries (no updates) with `lanes` lockstep lanes on
+    /// `actor` — any [`InferActor`], e.g. an int8 snapshot — or on the
+    /// trainer's own f32 actor when `None`. Draws from the trainer's RNG
+    /// stream under the [`with_lane_rngs`] rule; episodes come back in
+    /// job order.
+    pub fn generate(
         &mut self,
-        quant: &QuantizedActor,
+        actor: Option<&dyn InferActor>,
         env: &SqlGenEnv,
         n: usize,
-        batch: usize,
+        lanes: usize,
     ) -> Vec<Episode> {
-        let base: u64 = self.rng.random();
-        crate::batch::collect_episodes_batched(quant, env, n, batch.max(1), base)
+        let actor = actor.unwrap_or(&self.actor);
+        let ro = &mut self.infer;
+        with_lane_rngs(&mut self.rng, lanes, lanes.min(n), |rngs| {
+            ro.collect(actor, env, n, rngs)
+        })
     }
 }
-
-use rand::Rng;
 
 #[cfg(test)]
 mod tests {
@@ -382,16 +236,18 @@ mod tests {
             ..Default::default()
         };
         let satisfaction = |t: &mut ActorCritic, n: usize| -> f32 {
-            (0..n).filter(|_| t.generate(&env).satisfied).count() as f32 / n as f32
+            t.generate(None, &env, n, 1)
+                .iter()
+                .filter(|ep| ep.satisfied)
+                .count() as f32
+                / n as f32
         };
         // Baseline: the untrained policy.
         let mut fresh = ActorCritic::new(vocab.size(), cfg.clone());
         let untrained = satisfaction(&mut fresh, 60);
 
         let mut trainer = ActorCritic::new(vocab.size(), cfg);
-        for _ in 0..900 {
-            trainer.train_episode(&env);
-        }
+        trainer.train(&env, 900, 1);
         let trained = satisfaction(&mut trainer, 60);
         assert!(
             trained > untrained + 0.05,
@@ -417,9 +273,7 @@ mod tests {
             ..Default::default()
         };
         let mut trainer = ActorCritic::new(vocab.size(), cfg);
-        for _ in 0..120 {
-            trainer.train_episode(&env);
-        }
+        trainer.train(&env, 120, 1);
         // After training, V(s_0) should be positive (expected return > 0)
         // rather than the 0 it started at.
         let mut rng = StdRng::seed_from_u64(1);

@@ -1,42 +1,77 @@
-//! Batched lockstep rollout collection with continuous lane refill.
+//! Batched lockstep rollout collection with continuous lane refill — the
+//! one inference engine every generation path runs through.
 //!
 //! Single-stream inference re-reads the full weight matrices once per token
-//! (memory-bandwidth bound), and the threaded path cannot help on a
-//! single-core host. The batched engine instead advances `B` independent
-//! rollouts ("lanes") one token per lockstep iteration: each weight block
-//! is read once per iteration and amortized across all lanes via the
-//! matrix-matrix kernels in `sqlgen-nn`, raising arithmetic intensity even
-//! on one core.
+//! (memory-bandwidth bound). The batched engine instead advances `B`
+//! independent rollouts ("lanes") one token per lockstep iteration: each
+//! weight block is read once per iteration and amortized across all lanes
+//! via the matrix-matrix kernels in `sqlgen-nn`, raising arithmetic
+//! intensity even on one core. Width 1 is simply a one-lane engine.
 //!
-//! Lane ownership mirrors the threaded worker model of [`crate::parallel`]:
-//! lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and the RNG
-//! stream seeded [`worker_seed`]`(base, l)`. When a lane emits `EOF` its
-//! finished query is flushed and the lane immediately restarts on the next
-//! pending job — **continuous refill** — so short queries never stall the
-//! batch. A refilled lane keeps its RNG stream running (exactly like a
-//! worker collecting its next episode), which yields the determinism
-//! contract:
+//! Lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and the RNG
+//! stream `rngs[l]` the caller hands in (and gets back, advanced). When a
+//! lane emits `EOF` its finished query is flushed and the lane immediately
+//! restarts on the next pending job — **continuous refill** — so short
+//! queries never stall the batch. A refilled lane keeps its RNG stream
+//! running, which yields the determinism contract:
 //!
 //! * every lane's token stream is bit-identical to a serial
 //!   [`run_episode_infer`](crate::episode::run_episode_infer) loop over
-//!   that lane's seed (the batched kernels accumulate in the same order as
+//!   that lane's RNG (the batched kernels accumulate in the same order as
 //!   their serial counterparts, and inactive lanes draw no RNG);
-//! * for a fixed `(base, n, batch)` the collected episodes are a pure
+//! * for fixed lane RNGs and `n` the collected episodes are a pure
 //!   function of the policy weights — single-threaded lockstep has no
-//!   scheduling freedom — so runs reproduce exactly;
-//! * `batch = 1` degenerates to one lane whose stream equals the legacy
-//!   serial path with worker seed `base ^ 0`.
+//!   scheduling freedom — so runs reproduce exactly.
+//!
+//! Trainers pick the lane RNGs with [`with_lane_rngs`], the single place
+//! where width 1 differs from wider engines.
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
 use crate::nets::{BatchScratch, InferActor};
-use crate::parallel::worker_seed;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use sqlgen_fsm::GenState;
 use sqlgen_nn::LstmBatchState;
 use sqlgen_obs::TraceHandle;
 use std::time::Instant;
+
+/// The RNG seed for lane `lane` of a round drawn with base seed `base`
+/// (also the per-job seed schedule of seeded generation and serving).
+#[inline]
+pub fn worker_seed(base: u64, lane: usize) -> u64 {
+    base ^ lane as u64
+}
+
+/// Fresh RNG streams for `lanes` lanes seeded [`worker_seed`]`(base, l)`.
+pub fn lane_rngs(base: u64, lanes: usize) -> Vec<StdRng> {
+    (0..lanes)
+        .map(|l| StdRng::seed_from_u64(worker_seed(base, l)))
+        .collect()
+}
+
+/// Runs `roll` on the lane RNGs of one rollout round of `width` lanes for
+/// an engine configured with `lanes` lanes. This is the width-1 seeding
+/// rule:
+///
+/// * `lanes <= 1`: the caller's own stream `rng` is lane 0 and is handed
+///   back advanced, so a width-1 engine consumes exactly the draws of a
+///   one-episode-at-a-time loop (the golden fixtures pin this);
+/// * `lanes > 1`: one `base` is drawn from `rng` and lane `l` runs on
+///   [`worker_seed`]`(base, l)` — reproducible per `(seed, lanes)`.
+pub fn with_lane_rngs<T>(
+    rng: &mut StdRng,
+    lanes: usize,
+    width: usize,
+    roll: impl FnOnce(&mut [StdRng]) -> T,
+) -> T {
+    if lanes <= 1 {
+        roll(std::slice::from_mut(rng))
+    } else {
+        let base: u64 = rng.random();
+        roll(&mut lane_rngs(base, width))
+    }
+}
 
 /// Elapsed microseconds since `t0`.
 fn us_since(t0: Instant) -> f64 {
@@ -73,10 +108,12 @@ impl BatchRollout {
         Self::default()
     }
 
-    /// Collects `n` episodes with up to `batch` lockstep lanes, returning
-    /// `(job, lane, episode)` tuples in completion order. `job` is the
-    /// episode's index in the deterministic refill queue and `lane` the
-    /// lane that produced it — enough to replay any lane serially.
+    /// Collects `n` episodes with one lockstep lane per entry of `rngs`
+    /// (at most `n` of them run), returning `(job, lane, episode)` tuples
+    /// in completion order. `job` is the episode's index in the
+    /// deterministic refill queue and `lane` the lane that produced it —
+    /// enough to replay any lane serially. Each `rngs[l]` is left where
+    /// lane `l`'s stream stopped.
     ///
     /// Once the job queue is exhausted, finished lanes are **compacted
     /// away** ([`Vec::swap_remove`]-style) instead of riding through the
@@ -85,15 +122,17 @@ impl BatchRollout {
     /// the batched kernels are bitwise position- and width-independent per
     /// lane — and a lane's RNG stream travels with its slot, so every
     /// episode is unchanged.
-    pub fn collect_tagged<A: InferActor>(
+    pub fn collect_tagged<A: InferActor + ?Sized>(
         &mut self,
         actor: &A,
         env: &SqlGenEnv,
         n: usize,
-        batch: usize,
-        base: u64,
+        rngs: &mut [StdRng],
     ) -> Vec<(usize, usize, Episode)> {
-        let b = batch.clamp(1, n.max(1));
+        let b = rngs.len().min(n);
+        if b == 0 {
+            return Vec::new();
+        }
         let vocab = env.action_space();
         self.state = actor.begin_batch(b);
         self.masks.clear();
@@ -105,8 +144,7 @@ impl BatchRollout {
         self.actions.clear();
         self.actions.resize(b, 0);
         self.rngs.clear();
-        self.rngs
-            .extend((0..b).map(|w| StdRng::seed_from_u64(worker_seed(base, w))));
+        self.rngs.extend_from_slice(&rngs[..b]);
 
         // `b <= n`, so every slot starts with a job. Physical slot `p`
         // hosts the lane originally numbered `order[p]` (the tag reported
@@ -122,8 +160,9 @@ impl BatchRollout {
                 job,
             })
             .collect();
-        let mut next_job = b.min(n);
+        let mut next_job = b;
         let mut out = Vec::with_capacity(n);
+        let mut done_slots: Vec<usize> = Vec::new();
 
         while !order.is_empty() {
             let w = order.len();
@@ -140,7 +179,7 @@ impl BatchRollout {
                 &mut self.scratch,
                 &mut self.actions[..w],
             );
-            let mut done_slots: Vec<usize> = Vec::new();
+            done_slots.clear();
             for (p, run) in lanes.iter_mut().enumerate() {
                 let action = self.actions[p];
                 let (reward, done) = env.step(&mut run.state, action, &mut run.shaper);
@@ -151,7 +190,7 @@ impl BatchRollout {
                     if next_job < n {
                         // Refill: fresh episode, zeroed LSTM lane, BOS
                         // input — the lane's RNG stream continues, exactly
-                        // like a serial worker starting its next episode.
+                        // like a serial loop starting its next episode.
                         let fresh = LaneRun {
                             state: env.reset(),
                             shaper: RewardShaper::new(),
@@ -176,7 +215,8 @@ impl BatchRollout {
                 }
             }
             // Compact drained slots out, highest physical index first so
-            // each swap_remove only moves a still-live slot.
+            // each swap_remove only moves a still-live slot. The drained
+            // lane's stream goes back to the caller.
             for &p in done_slots.iter().rev() {
                 let LaneRun {
                     state,
@@ -187,16 +227,17 @@ impl BatchRollout {
                 } = lanes.swap_remove(p);
                 out.push((job, order[p], finish_episode(env, &state, actions, rewards)));
                 self.state.swap_remove_lane(p);
-                self.rngs.swap_remove(p);
+                rngs[order[p]] = self.rngs.swap_remove(p);
                 self.prev.swap_remove(p);
                 self.actions.swap_remove(p);
                 order.swap_remove(p);
             }
             self.active.truncate(order.len());
+            sqlgen_obs::obs_record!("rl.batch.occupancy", w as f64);
             if let Some(start) = start {
                 // One histogram sample per emitted token (matching the
                 // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / w.max(1) as f64;
+                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / w as f64;
                 for _ in 0..w {
                     sqlgen_obs::obs_record!("rl.step.latency_us", us);
                 }
@@ -205,17 +246,17 @@ impl BatchRollout {
         out
     }
 
-    /// Collects `n` episodes with up to `batch` lockstep lanes, ordered by
-    /// job index (the stable order a serial loop would produce them in).
-    pub fn collect<A: InferActor>(
+    /// Collects `n` episodes with one lockstep lane per entry of `rngs`,
+    /// ordered by job index (the stable order a serial loop would produce
+    /// them in).
+    pub fn collect<A: InferActor + ?Sized>(
         &mut self,
         actor: &A,
         env: &SqlGenEnv,
         n: usize,
-        batch: usize,
-        base: u64,
+        rngs: &mut [StdRng],
     ) -> Vec<Episode> {
-        let mut tagged = self.collect_tagged(actor, env, n, batch, base);
+        let mut tagged = self.collect_tagged(actor, env, n, rngs);
         tagged.sort_by_key(|(job, _, _)| *job);
         tagged.into_iter().map(|(_, _, ep)| ep).collect()
     }
@@ -300,7 +341,7 @@ impl BatchRollout {
     /// its RNG from [`Job::seed`]; see [`Job`] for the determinism contract.
     /// Outcome order is completion order, deterministic for a fixed job
     /// stream (single-threaded lockstep has no scheduling freedom).
-    pub fn run_jobs<'e, 'v: 'e, A: InferActor>(
+    pub fn run_jobs<'e, 'v: 'e, A: InferActor + ?Sized>(
         &mut self,
         actor: &A,
         lanes: usize,
@@ -501,7 +542,7 @@ impl BatchRollout {
 /// Runs a batch of seeded jobs to completion and returns `(tag, outcome)`
 /// pairs in completion order. Convenience wrapper over
 /// [`BatchRollout::run_jobs`] for callers with a fixed job list.
-pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor>(
+pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor + ?Sized>(
     actor: &A,
     jobs: Vec<Job<'e, 'v>>,
     lanes: usize,
@@ -517,17 +558,16 @@ pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor>(
     out
 }
 
-/// Collects `n` inference episodes with `batch` lockstep lanes (see
-/// [`BatchRollout`]). Convenience entry point mirroring
-/// [`collect_episodes`](crate::parallel::collect_episodes).
-pub fn collect_episodes_batched<A: InferActor>(
+/// Collects `n` inference episodes with up to `batch` lockstep lanes
+/// seeded [`worker_seed`]`(base, l)` (see [`BatchRollout`]).
+pub fn collect_episodes_batched<A: InferActor + ?Sized>(
     actor: &A,
     env: &SqlGenEnv,
     n: usize,
     batch: usize,
     base: u64,
 ) -> Vec<Episode> {
-    BatchRollout::new().collect(actor, env, n, batch, base)
+    BatchRollout::new().collect(actor, env, n, &mut lane_rngs(base, batch.max(1)))
 }
 
 #[cfg(test)]
@@ -567,7 +607,9 @@ mod tests {
     }
 
     /// Every lane's token stream must equal a serial `run_episode_infer`
-    /// loop over that lane's worker seed — including across refills.
+    /// loop over that lane's RNG — including across refills — and each
+    /// lane's stream must come back to the caller exactly where the serial
+    /// loop leaves it (the width-1 trainer contract).
     #[test]
     fn lanes_match_serial_runs_bitwise() {
         let (db, vocab) = setup();
@@ -577,10 +619,10 @@ mod tests {
         let base = 0xfeed;
         for &batch in &[1usize, 3, 4] {
             let n = batch * 2 + 1; // forces refill on at least one lane
-            let tagged = BatchRollout::new().collect_tagged(&actor, &env, n, batch, base);
+            let mut rngs = lane_rngs(base, batch);
+            let tagged = BatchRollout::new().collect_tagged(&actor, &env, n, &mut rngs);
             assert_eq!(tagged.len(), n);
-            let b = batch.min(n);
-            for lane in 0..b {
+            for (lane, lane_rng) in rngs.iter_mut().enumerate() {
                 let mut lane_eps: Vec<_> = tagged.iter().filter(|(_, l, _)| *l == lane).collect();
                 lane_eps.sort_by_key(|(job, _, _)| *job);
                 let mut rng = StdRng::seed_from_u64(worker_seed(base, lane));
@@ -590,8 +632,22 @@ mod tests {
                     assert_eq!(ep.actions, serial.actions, "lane {lane} batch {batch}");
                     assert_eq!(ep.rewards, serial.rewards, "lane {lane} batch {batch}");
                 }
+                assert_eq!(
+                    lane_rng.random::<u64>(),
+                    rng.random::<u64>(),
+                    "lane {lane} batch {batch}: stream not handed back"
+                );
             }
         }
+        // No jobs: no lane runs and no stream advances.
+        let mut rngs = lane_rngs(base, 2);
+        assert!(BatchRollout::new()
+            .collect_tagged(&actor, &env, 0, &mut rngs)
+            .is_empty());
+        assert_eq!(
+            rngs[0].random::<u64>(),
+            StdRng::seed_from_u64(worker_seed(base, 0)).random::<u64>()
+        );
     }
 
     /// A job's episode must equal a serial `run_episode_infer` with the
@@ -827,7 +883,7 @@ mod tests {
             assert_eq!(x.actions, y.actions);
             assert_eq!(x.rewards, y.rewards);
         }
-        let tagged = BatchRollout::new().collect_tagged(&actor, &env, 7, 4, 0xabc);
+        let tagged = BatchRollout::new().collect_tagged(&actor, &env, 7, &mut lane_rngs(0xabc, 4));
         let jobs: Vec<usize> = {
             let mut t: Vec<usize> = tagged.iter().map(|(j, _, _)| *j).collect();
             t.sort_unstable();

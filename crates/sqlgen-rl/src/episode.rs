@@ -1,8 +1,11 @@
-//! Episode rollout shared by all trainers.
+//! Episodes and the serial reference rollouts.
 //!
 //! One episode = one query generated token-by-token (Algorithm 1):
 //! the FSM masks the action space, the actor samples, the environment
-//! rewards executable prefixes.
+//! rewards executable prefixes. The trainers roll episodes through the
+//! lane engine ([`crate::batch`], [`crate::train_batch`]); the
+//! one-episode loops here are the references the bitwise lane tests and
+//! fuzz oracles compare it against (and the meta-critic's own loop).
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::nets::{ActorNet, ActorStep, NetScratch};

@@ -4,8 +4,9 @@
 //! * [`env`] — the database environment (FSM masking + estimator rewards),
 //! * [`cache`] — LRU memo cache for estimator reward lookups,
 //! * [`nets`] — actor (policy) and critic (value) LSTM networks,
-//! * [`episode`] — rollout machinery shared by all trainers,
-//! * [`batch`] — batched lockstep inference with continuous lane refill,
+//! * [`episode`] — episodes and the serial reference rollouts,
+//! * [`batch`] — the lockstep lane engine every generation path runs
+//!   through (continuous lane refill, the width-1 seeding rule),
 //! * [`train_batch`] — lane-batched training rollouts (batched BPTT),
 //! * [`reinforce`] — the REINFORCE baseline (Figure 8 ablation),
 //! * [`actor_critic`] — the shipped A2C algorithm (Algorithm 3),
@@ -22,13 +23,15 @@ pub mod env;
 pub mod episode;
 pub mod meta_critic;
 pub mod nets;
-pub mod parallel;
 pub mod reinforce;
 pub mod train_batch;
 
 pub use ac_extend::AcExtend;
 pub use actor_critic::ActorCritic;
-pub use batch::{collect_episodes_batched, run_jobs_batched, BatchRollout, Job, JobOutcome};
+pub use batch::{
+    collect_episodes_batched, lane_rngs, run_jobs_batched, with_lane_rngs, worker_seed,
+    BatchRollout, Job, JobOutcome,
+};
 pub use cache::{EstimatorCache, DEFAULT_ESTIMATOR_CACHE_CAPACITY};
 pub use constraint::{Constraint, Metric, Target, POINT_TOLERANCE};
 pub use env::{ExecBudget, ExecDb, ExecStats, RewardMode, RewardShaper, RewardSource, SqlGenEnv};
@@ -41,6 +44,5 @@ pub use nets::{
     ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep, InferActor, NetConfig, NetGradsBatch,
     NetScratch, QuantizedActor,
 };
-pub use parallel::{collect_episodes, worker_seed};
 pub use reinforce::{Reinforce, TrainConfig};
 pub use train_batch::TrainRollout;

@@ -14,8 +14,8 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use sqlgen_nn::{
     actor_logit_grad, actor_logit_grad_into, masked_softmax, sample_categorical, Dropout,
-    Embedding, Linear, LinearGrads, LstmBatchState, LstmStack, LstmStackGrads, Mat, Param,
-    QuantizedLinear, QuantizedLstmStack, StackCache, StackState,
+    Embedding, Linear, LinearGrads, LstmBatchState, LstmLayerGrads, LstmStack, LstmStackGrads, Mat,
+    Param, QuantizedLinear, QuantizedLstmStack, StackCache, StackState,
 };
 
 /// Reusable per-step forward scratch shared by the actor and critic hot
@@ -118,6 +118,86 @@ impl NetGradsBatch {
     /// Number of lane arenas currently allocated.
     pub fn lanes(&self) -> usize {
         self.embed.len()
+    }
+
+    /// Lane `lane`'s buffers in the order of the owning network's
+    /// `params_mut()`: embedding table, LSTM `w_ih`/`w_hh`/`b` per layer,
+    /// head `w`/`b`.
+    fn lane_mut(&mut self, lane: usize) -> impl Iterator<Item = &mut Mat> {
+        let head = &mut self.head[lane];
+        std::iter::once(&mut self.embed[lane])
+            .chain(
+                self.lstm[lane]
+                    .iter_mut()
+                    .flat_map(|l| [&mut l.w_ih, &mut l.w_hh, &mut l.b]),
+            )
+            .chain([&mut head.w, &mut head.b])
+    }
+
+    /// Grows to at least `batch` (and one) lane arenas shaped like a
+    /// network with these parts; allocations are recycled across rounds.
+    /// Lane 0 owns no storage (empty placeholders): it borrows
+    /// `Param::grad`, see [`NetGradsBatch::lend`].
+    fn grow(&mut self, embed: &Embedding, lstm: &LstmStack, head: &Linear, batch: usize) {
+        if self.embed.is_empty() {
+            let empty = || Mat::zeros(0, 0);
+            self.embed.push(empty());
+            self.lstm.push(
+                (0..lstm.layers.len())
+                    .map(|_| LstmLayerGrads {
+                        w_ih: empty(),
+                        w_hh: empty(),
+                        b: empty(),
+                    })
+                    .collect(),
+            );
+            self.head.push(LinearGrads {
+                w: empty(),
+                b: empty(),
+            });
+        }
+        while self.embed.len() < batch {
+            self.embed.push(embed.empty_grads());
+            self.lstm.push(lstm.empty_stack_grads());
+            self.head.push(head.empty_grads());
+        }
+    }
+
+    /// Zeroes the first `batch` lane arenas after swapping lane 0's
+    /// buffers with `params[i].grad`, so the lane-0 backward writes the
+    /// network's own gradient buffers, which [`NetGradsBatch::reduce_into`]
+    /// swaps back — a one-lane round touches exactly the memory a serial
+    /// backward does. `Param::grad` is empty until then.
+    fn lend(&mut self, mut params: Vec<&mut Param>, batch: usize) {
+        for (p, g) in params.iter_mut().zip(self.lane_mut(0)) {
+            if g.data.is_empty() {
+                std::mem::swap(&mut p.grad, g);
+            }
+            if g.data.len() != p.value.data.len() {
+                // Lent twice without a reduce in between.
+                *g = Mat::zeros(p.value.rows, p.value.cols);
+            }
+        }
+        for lane in 0..batch {
+            self.lane_mut(lane).for_each(|g| g.fill(0.0));
+        }
+    }
+
+    /// Sets each `params[i].grad` to the sum of the first `batch` lane
+    /// arenas, reduced in ascending lane order (the deterministic-sum
+    /// contract). Lane 0's arena is swapped in as the running sum rather
+    /// than added onto zeroed gradients: the same values up to the sign of
+    /// zero entries, which neither clipping nor Adam can observe.
+    fn reduce_into(&mut self, mut params: Vec<&mut Param>, batch: usize) {
+        for lane in 0..batch {
+            for (p, g) in params.iter_mut().zip(self.lane_mut(lane)) {
+                if lane == 0 {
+                    std::mem::swap(&mut p.grad, g);
+                } else {
+                    p.grad.add_assign(g);
+                }
+            }
+        }
     }
 }
 
@@ -525,31 +605,19 @@ impl ActorNet {
         }
     }
 
-    /// Grows `grads` to at least `batch` lane arenas and zeroes the first
-    /// `batch` of them, recycling allocations across training rounds.
-    pub fn ensure_grads(&self, grads: &mut NetGradsBatch, batch: usize) {
-        while grads.embed.len() < batch {
-            grads.embed.push(self.embed.empty_grads());
-            grads.lstm.push(self.lstm.empty_stack_grads());
-            grads.head.push(self.head.empty_grads());
-        }
-        for lane in 0..batch {
-            grads.embed[lane].fill(0.0);
-            for l in &mut grads.lstm[lane] {
-                l.reset();
-            }
-            grads.head[lane].reset();
-        }
+    /// Readies `batch` zeroed lane arenas for
+    /// [`ActorNet::backward_episodes_batch`]; pair with
+    /// [`ActorNet::reduce_grads`] (`Param::grad` is lent to lane 0 in
+    /// between).
+    pub fn ensure_grads(&mut self, grads: &mut NetGradsBatch, batch: usize) {
+        grads.grow(&self.embed, &self.lstm, &self.head, batch);
+        grads.lend(self.params_mut(), batch);
     }
 
-    /// Reduces the first `batch` lane arenas into `Param::grad`, in
-    /// ascending lane order (the deterministic-sum contract).
-    pub fn accumulate_grads(&mut self, grads: &NetGradsBatch, batch: usize) {
-        for lane in 0..batch {
-            self.embed.accumulate_grads(&grads.embed[lane]);
-            self.lstm.accumulate_grads(&grads.lstm[lane]);
-            self.head.accumulate_grads(&grads.head[lane]);
-        }
+    /// Replaces `Param::grad` with the sum of the first `batch` lane
+    /// arenas, in ascending lane order (the deterministic-sum contract).
+    pub fn reduce_grads(&mut self, grads: &mut NetGradsBatch, batch: usize) {
+        grads.reduce_into(self.params_mut(), batch);
     }
 
     /// Lane-batched [`ActorNet::backward_episode`] over `batch` ragged
@@ -993,11 +1061,6 @@ impl CriticNet {
         }
     }
 
-    /// Allocates a zeroed batched LSTM state for `batch` lanes.
-    pub fn begin_batch(&self, batch: usize) -> LstmBatchState {
-        self.lstm.zero_batch_state(batch)
-    }
-
     /// One batched critic step over lockstep lanes: mirrors
     /// [`CriticNet::step_into`] per active lane (dropout draws from the
     /// lane's own RNG, then the scalar head), recording backward caches
@@ -1072,28 +1135,14 @@ impl CriticNet {
     }
 
     /// See [`ActorNet::ensure_grads`].
-    pub fn ensure_grads(&self, grads: &mut NetGradsBatch, batch: usize) {
-        while grads.embed.len() < batch {
-            grads.embed.push(self.embed.empty_grads());
-            grads.lstm.push(self.lstm.empty_stack_grads());
-            grads.head.push(self.head.empty_grads());
-        }
-        for lane in 0..batch {
-            grads.embed[lane].fill(0.0);
-            for l in &mut grads.lstm[lane] {
-                l.reset();
-            }
-            grads.head[lane].reset();
-        }
+    pub fn ensure_grads(&mut self, grads: &mut NetGradsBatch, batch: usize) {
+        grads.grow(&self.embed, &self.lstm, &self.head, batch);
+        grads.lend(self.params_mut(), batch);
     }
 
-    /// See [`ActorNet::accumulate_grads`].
-    pub fn accumulate_grads(&mut self, grads: &NetGradsBatch, batch: usize) {
-        for lane in 0..batch {
-            self.embed.accumulate_grads(&grads.embed[lane]);
-            self.lstm.accumulate_grads(&grads.lstm[lane]);
-            self.head.accumulate_grads(&grads.head[lane]);
-        }
+    /// See [`ActorNet::reduce_grads`].
+    pub fn reduce_grads(&mut self, grads: &mut NetGradsBatch, batch: usize) {
+        grads.reduce_into(self.params_mut(), batch);
     }
 
     /// Lane-batched [`CriticNet::backward_episode`]; the per-lane arena

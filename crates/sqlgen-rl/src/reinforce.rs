@@ -4,15 +4,13 @@
 //! exactly the ablation the paper compares the actor-critic against in
 //! Figure 8 (high return variance, slower/noisier convergence).
 
+use crate::batch::{with_lane_rngs, BatchRollout};
 use crate::env::SqlGenEnv;
-use crate::episode::{
-    rewards_to_go_into, run_episode_infer, run_episode_into, Episode, InferRollout, Rollout,
-};
-use crate::nets::{ActorNet, ActorStep, NetConfig, NetGradsBatch, QuantizedActor};
-use crate::parallel::collect_episodes;
+use crate::episode::{rewards_to_go_into, Episode};
+use crate::nets::{ActorNet, InferActor, NetConfig, NetGradsBatch};
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use sqlgen_nn::{clip_grad_norm, Adam, Optimizer};
 
 /// Trainer hyper-parameters (paper §7.1 values as defaults).
@@ -46,12 +44,14 @@ pub struct Reinforce {
     pub cfg: TrainConfig,
     opt: Adam,
     rng: StdRng,
-    /// Recycled training-rollout arena (caches, scratch, LSTM state).
-    rollout: Rollout,
-    /// Recycled inference-rollout buffers.
-    infer: InferRollout,
-    /// Recycled returns buffer.
-    returns: Vec<f32>,
+    /// Recycled lane-batched training buffers (arenas, LSTM states).
+    rollout: TrainRollout,
+    /// Recycled per-lane gradient arenas.
+    grads: NetGradsBatch,
+    /// Recycled per-lane returns.
+    returns: Vec<Vec<f32>>,
+    /// Recycled inference-engine buffers.
+    infer: BatchRollout,
 }
 
 impl Reinforce {
@@ -64,113 +64,47 @@ impl Reinforce {
             cfg,
             opt,
             rng,
-            rollout: Rollout::new(),
-            infer: InferRollout::new(),
+            rollout: TrainRollout::new(),
+            grads: NetGradsBatch::default(),
             returns: Vec::new(),
+            infer: BatchRollout::new(),
         }
     }
 
-    /// One policy-gradient update from a finished episode's steps/rewards.
-    fn apply_update(&mut self, steps: &[ActorStep], rewards: &[f32]) {
-        let mut returns = std::mem::take(&mut self.returns);
-        rewards_to_go_into(rewards, &mut returns);
-        self.actor.zero_grad();
-        self.actor
-            .backward_episode(steps, &returns, self.cfg.lambda);
-        let mut params = self.actor.params_mut();
-        clip_grad_norm(&mut params, self.cfg.grad_clip);
-        self.opt.step(&mut params);
-        self.returns = returns;
-    }
-
-    /// Runs one training episode and updates the policy. Returns the episode.
-    pub fn train_episode(&mut self, env: &SqlGenEnv) -> Episode {
-        let mut ro = std::mem::take(&mut self.rollout);
-        let ep = run_episode_into(&self.actor, env, true, &mut self.rng, &mut ro);
-        self.apply_update(ro.steps(), &ep.rewards);
-        self.rollout = ro;
-        ep
-    }
-
-    /// Trains on `episodes` episodes, collecting rollouts with `threads`
-    /// parallel workers and applying updates serially in episode order.
-    /// `threads <= 1` runs the exact single-threaded path (bit-identical to
-    /// calling [`Reinforce::train_episode`] in a loop).
-    pub fn train_batch(
-        &mut self,
-        env: &SqlGenEnv,
-        episodes: usize,
-        threads: usize,
-    ) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut out = Vec::with_capacity(episodes);
-        let mut remaining = episodes;
-        while remaining > 0 {
-            // One round = one episode per worker, so rollouts never run
-            // more than `threads` episodes behind the policy they sample.
-            let batch = remaining.min(threads);
-            let base: u64 = self.rng.random();
-            for mut ep in collect_episodes(&self.actor, env, batch, true, batch, base) {
-                self.apply_update(&ep.steps, &ep.rewards);
-                ep.steps = Vec::new();
-                out.push(ep);
-            }
-            remaining -= batch;
-        }
-        out
-    }
-
-    /// Trains on `episodes` episodes with up to `batch` lockstep GEMM
-    /// lanes (batched BPTT with gradient accumulation).
+    /// Trains on `episodes` episodes with `lanes` lockstep GEMM lanes
+    /// (batched BPTT with gradient accumulation).
     ///
-    /// Each round rolls one episode per lane under the current policy
-    /// (lane token streams bitwise match serial rollouts of the lane
-    /// seeds), runs one lane-batched backward into per-lane gradient
-    /// arenas, reduces the arenas in ascending lane order, and applies
-    /// **one** clipped Adam step for the whole round. `batch <= 1` is the
-    /// exact legacy serial path; larger batches are reproducible per
-    /// `(seed, batch)` but — like `threads > 1` — a different
-    /// deterministic run than serial training (one accumulated update per
-    /// round instead of one per episode). See [`crate::train_batch`].
-    pub fn train_batched(
-        &mut self,
-        env: &SqlGenEnv,
-        episodes: usize,
-        batch: usize,
-    ) -> Vec<Episode> {
-        if batch <= 1 {
-            return (0..episodes).map(|_| self.train_episode(env)).collect();
-        }
-        let mut ro = TrainRollout::new();
-        let mut grads = NetGradsBatch::default();
-        let mut advantages: Vec<Vec<f32>> = Vec::new();
+    /// Each round rolls one episode per lane under the current policy,
+    /// runs one lane-batched backward into per-lane gradient arenas,
+    /// reduces the arenas in ascending lane order, and applies **one**
+    /// clipped Adam step for the whole round. `lanes <= 1` is one episode
+    /// and one update per round on the trainer's own RNG stream; see
+    /// [`crate::train_batch`] and [`with_lane_rngs`] for the contracts.
+    pub fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
         let mut out = Vec::with_capacity(episodes);
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
-            // at `batch` episodes (matching the threaded path).
-            let b = remaining.min(batch);
-            let base: u64 = self.rng.random();
-            let eps = ro.collect(&self.actor, env, b, base);
-            if advantages.len() < b {
-                advantages.resize_with(b, Vec::new);
+            // at `lanes` episodes.
+            let b = remaining.min(lanes.max(1));
+            let (actor, ro) = (&self.actor, &mut self.rollout);
+            let eps = with_lane_rngs(&mut self.rng, lanes, b, |rngs| ro.collect(actor, env, rngs));
+            if self.returns.len() < b {
+                self.returns.resize_with(b, Vec::new);
             }
             for (lane, ep) in eps.iter().enumerate() {
-                rewards_to_go_into(&ep.rewards, &mut advantages[lane]);
+                rewards_to_go_into(&ep.rewards, &mut self.returns[lane]);
             }
-            self.actor.ensure_grads(&mut grads, b);
+            self.actor.ensure_grads(&mut self.grads, b);
             self.actor.backward_episodes_batch(
                 b,
-                &ro.steps,
-                &ro.lens,
-                &advantages,
+                &self.rollout.steps,
+                &self.rollout.lens,
+                &self.returns,
                 self.cfg.lambda,
-                &mut grads,
+                &mut self.grads,
             );
-            self.actor.zero_grad();
-            self.actor.accumulate_grads(&grads, b);
+            self.actor.reduce_grads(&mut self.grads, b);
             let mut params = self.actor.params_mut();
             clip_grad_norm(&mut params, self.cfg.grad_clip);
             self.opt.step(&mut params);
@@ -180,46 +114,23 @@ impl Reinforce {
         out
     }
 
-    /// Generates a query without updating the network (inference).
-    pub fn generate(&mut self, env: &SqlGenEnv) -> Episode {
-        run_episode_infer(&self.actor, env, &mut self.rng, &mut self.infer)
-    }
-
-    /// Generates `n` queries with `threads` parallel workers (no updates).
-    /// `threads <= 1` matches [`Reinforce::generate`] in a loop bit-for-bit.
-    pub fn generate_batch(&mut self, env: &SqlGenEnv, n: usize, threads: usize) -> Vec<Episode> {
-        if threads <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        collect_episodes(&self.actor, env, n, false, threads, base)
-    }
-
-    /// Generates `n` queries with `batch` lockstep GEMM lanes (no updates).
-    /// `batch <= 1` matches [`Reinforce::generate`] in a loop bit-for-bit;
-    /// larger batches are reproducible per (seed, batch) — see
-    /// [`crate::batch`] for the determinism contract.
-    pub fn generate_batched(&mut self, env: &SqlGenEnv, n: usize, batch: usize) -> Vec<Episode> {
-        if batch <= 1 {
-            return (0..n).map(|_| self.generate(env)).collect();
-        }
-        let base: u64 = self.rng.random();
-        crate::batch::collect_episodes_batched(&self.actor, env, n, batch, base)
-    }
-
-    /// Generates `n` queries on an int8 snapshot of the actor with `batch`
-    /// lockstep lanes (no updates). Same engine and determinism contract
-    /// as [`Reinforce::generate_batched`]; the sampled streams differ from
-    /// the f32 path only within the quantization error of the logits.
-    pub fn generate_batched_quant(
+    /// Generates `n` queries (no updates) with `lanes` lockstep lanes on
+    /// `actor` — any [`InferActor`], e.g. an int8 snapshot — or on the
+    /// trainer's own f32 actor when `None`. Draws from the trainer's RNG
+    /// stream under the [`with_lane_rngs`] rule; episodes come back in
+    /// job order.
+    pub fn generate(
         &mut self,
-        quant: &QuantizedActor,
+        actor: Option<&dyn InferActor>,
         env: &SqlGenEnv,
         n: usize,
-        batch: usize,
+        lanes: usize,
     ) -> Vec<Episode> {
-        let base: u64 = self.rng.random();
-        crate::batch::collect_episodes_batched(quant, env, n, batch.max(1), base)
+        let actor = actor.unwrap_or(&self.actor);
+        let ro = &mut self.infer;
+        with_lane_rngs(&mut self.rng, lanes, lanes.min(n), |rngs| {
+            ro.collect(actor, env, n, rngs)
+        })
     }
 }
 
@@ -260,8 +171,7 @@ mod tests {
         let mut early = 0.0;
         let mut late = 0.0;
         let n = 150;
-        for i in 0..n {
-            let ep = trainer.train_episode(&env);
+        for (i, ep) in trainer.train(&env, n, 1).iter().enumerate() {
             let r = ep.total_reward() / ep.len() as f32;
             if i < 30 {
                 early += r;
@@ -290,9 +200,7 @@ mod tests {
         let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_point(100.0));
         let mut trainer = Reinforce::new(vocab.size(), TrainConfig::default());
         let before = trainer.actor.head.w.value.data.clone();
-        for _ in 0..3 {
-            trainer.generate(&env);
-        }
+        trainer.generate(None, &env, 3, 1);
         assert_eq!(before, trainer.actor.head.w.value.data);
     }
 }

@@ -7,30 +7,27 @@
 //! episode per lane (no refill — a round is a closed set of episodes
 //! collected under one policy snapshot), then the trainer runs a
 //! lane-batched BPTT into per-lane gradient arenas and applies **one**
-//! accumulated optimizer step for the round.
+//! accumulated optimizer step for the round. Width 1 — one episode, one
+//! update per round — is the paper's Algorithm 3 loop.
 //!
 //! Determinism contract:
 //!
-//! * lane `l` draws from the RNG stream seeded [`worker_seed`]`(base, l)`
-//!   and its collected episode is bit-identical to a serial
-//!   [`run_episode_into`](crate::episode::run_episode_into) with that seed
-//!   (same dropout and sampling draws, same batched-kernel accumulation
-//!   order as the serial kernels);
+//! * lane `l` draws from the caller's RNG stream `rngs[l]` and its
+//!   collected episode is bit-identical to a serial
+//!   [`run_episode_into`](crate::episode::run_episode_into) with that
+//!   stream (same dropout and sampling draws, same batched-kernel
+//!   accumulation order as the serial kernels);
 //! * each lane's gradient arena is bit-identical to a serial backward of
 //!   that lane's episode alone; arenas reduce into `Param::grad` in
 //!   ascending lane order, so the summed gradient is deterministic;
-//! * a round applies one accumulated update instead of one update per
-//!   episode, so `batch > 1` training is — exactly like `threads > 1` — a
-//!   *different* (but per-`(seed, batch)` reproducible) run than serial
-//!   training. `batch <= 1` delegates to the legacy serial path upstream,
-//!   bit-exactly.
+//! * a round applies one accumulated update, so training is reproducible
+//!   per `(seed, lanes)`; different widths are different runs. Trainers
+//!   choose the lane streams with [`with_lane_rngs`](crate::batch::with_lane_rngs).
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
 use crate::nets::{ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep};
-use crate::parallel::worker_seed;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
 use sqlgen_fsm::GenState;
 use sqlgen_nn::LstmBatchState;
 
@@ -70,12 +67,12 @@ impl TrainRollout {
         Self::default()
     }
 
-    /// Rolls out one **training** episode per lane in lockstep (dropout
-    /// on, backward caches recorded into `self.steps`). Lane `l` seeds its
-    /// RNG with [`worker_seed`]`(base, l)`; its episode is bit-identical
-    /// to a serial training rollout with that stream. Returns episodes in
-    /// lane order (steps stay in the arena, like
-    /// [`Rollout`](crate::episode::Rollout)).
+    /// Rolls out one **training** episode per entry of `rngs` in lockstep
+    /// (dropout on, backward caches recorded into `self.steps`). Lane `l`
+    /// draws from `rngs[l]`, which is left where its stream stopped; its
+    /// episode is bit-identical to a serial training rollout with that
+    /// stream. Returns episodes in lane order (steps stay in the arena,
+    /// like [`Rollout`](crate::episode::Rollout)).
     ///
     /// Finished lanes are **compacted away** ([`Vec::swap_remove`]-style):
     /// physical slot `p` hosts logical lane `order[p]`, every per-slot
@@ -88,12 +85,11 @@ impl TrainRollout {
         &mut self,
         actor: &ActorNet,
         env: &SqlGenEnv,
-        batch: usize,
-        base: u64,
+        rngs: &mut [StdRng],
     ) -> Vec<Episode> {
-        let b = batch.max(1);
+        let b = rngs.len();
         let vocab = env.action_space();
-        self.state = actor.begin_batch(b);
+        actor.lstm.reset_batch_state(&mut self.state, b);
         self.masks.clear();
         self.masks.resize(b * vocab, false);
         self.prev.clear();
@@ -103,8 +99,7 @@ impl TrainRollout {
         self.actions.clear();
         self.actions.resize(b, 0);
         self.rngs.clear();
-        self.rngs
-            .extend((0..b).map(|w| StdRng::seed_from_u64(worker_seed(base, w))));
+        self.rngs.extend_from_slice(rngs);
         if self.steps.len() < b {
             self.steps.resize_with(b, Vec::new);
         }
@@ -191,12 +186,13 @@ impl TrainRollout {
             // each swap_remove only moves a still-live slot.
             for &p in done_slots.iter().rev() {
                 self.state.swap_remove_lane(p);
-                self.rngs.swap_remove(p);
+                rngs[order[p]] = self.rngs.swap_remove(p);
                 self.prev.swap_remove(p);
                 self.actions.swap_remove(p);
                 order.swap_remove(p);
             }
             self.active.truncate(order.len());
+            sqlgen_obs::obs_record!("rl.batch.occupancy", w as f64);
             if let Some(start) = start {
                 // One histogram sample per emitted token (matching the
                 // serial path's count contract) at the amortized cost.
@@ -229,7 +225,7 @@ impl TrainRollout {
         let b = batch.max(1);
         debug_assert!(self.lens.len() >= b);
         debug_assert_eq!(crngs.len(), b);
-        self.cstate = critic.begin_batch(b);
+        critic.lstm.reset_batch_state(&mut self.cstate, b);
         if self.csteps.len() < b {
             self.csteps.resize_with(b, Vec::new);
         }

@@ -3,8 +3,9 @@
 //! * Per-lane equivalence: every lane of a batched rollout reproduces, bit
 //!   for bit, the serial `run_episode_infer` stream of that lane's seed
 //!   (`base ^ lane`), including across continuous lane refills.
-//! * `batch_size = 1` through the trainer facade is bit-identical to the
-//!   legacy per-episode generation loop.
+//! * One lane through the trainer facade continues the trainer's own RNG
+//!   stream, so splitting a generation into calls changes nothing (the
+//!   golden fixtures in `determinism.rs` pin the stream itself).
 //! * A fixed `(seed, batch_size)` pair is reproducible run-to-run.
 
 use rand::rngs::StdRng;
@@ -12,8 +13,8 @@ use rand::SeedableRng;
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
-    run_episode_infer, worker_seed, ActorCritic, ActorNet, BatchRollout, Constraint, InferRollout,
-    NetConfig, SqlGenEnv, TrainConfig,
+    lane_rngs, run_episode_infer, worker_seed, ActorCritic, ActorNet, BatchRollout, Constraint,
+    InferRollout, NetConfig, QuantizedActor, SqlGenEnv, TrainConfig,
 };
 use sqlgen_storage::gen::tpch_database;
 use sqlgen_storage::sample::SampleConfig;
@@ -58,7 +59,7 @@ fn batched_lanes_match_serial_inference_on_tpch() {
     for &batch in &[2usize, 8] {
         let n = 2 * batch + 3; // uneven: some lanes run one extra episode
         let mut ro = BatchRollout::new();
-        let tagged = ro.collect_tagged(&actor, &env, n, batch, base);
+        let tagged = ro.collect_tagged(&actor, &env, n, &mut lane_rngs(base, batch));
         assert_eq!(tagged.len(), n);
 
         for lane in 0..batch {
@@ -81,28 +82,36 @@ fn batched_lanes_match_serial_inference_on_tpch() {
     }
 }
 
-/// Through the trainer facade, `generate_batched(n, 1)` is the legacy
-/// serial path: identical episodes, same trainer RNG consumption.
+/// Through the trainer facade, one lane runs on the trainer's own RNG
+/// stream and hands it back: one call of `n` equals `n` calls of one, for
+/// the f32 actor and for an int8 snapshot alike.
 #[test]
-fn facade_batch_one_is_bit_identical_to_legacy_generate() {
+fn facade_width_one_continues_the_trainer_stream() {
     let (db, vocab) = testbed();
     let est = Estimator::build(&db);
     let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
 
-    let legacy: Vec<Vec<usize>> = {
-        let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batch(&env, 10, 1);
-        (0..6).map(|_| ac.generate(&env).actions).collect()
-    };
-    let batched: Vec<Vec<usize>> = {
-        let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batch(&env, 10, 1);
-        ac.generate_batched(&env, 6, 1)
-            .into_iter()
-            .map(|ep| ep.actions)
-            .collect()
-    };
-    assert_eq!(legacy, batched, "batch_size=1 is not the legacy path");
+    for quantize in [false, true] {
+        let run = |split: bool| -> Vec<Vec<usize>> {
+            let mut ac = ActorCritic::new(vocab.size(), cfg());
+            ac.train(&env, 10, 1);
+            let quant = quantize.then(|| QuantizedActor::from_actor(&ac.actor));
+            let actor = quant.as_ref().map(|q| q as &dyn sqlgen_rl::InferActor);
+            let eps = if split {
+                (0..6)
+                    .flat_map(|_| ac.generate(actor, &env, 1, 1))
+                    .collect()
+            } else {
+                ac.generate(actor, &env, 6, 1)
+            };
+            eps.into_iter().map(|ep| ep.actions).collect()
+        };
+        assert_eq!(
+            run(false),
+            run(true),
+            "width-1 stream not continued across calls (quantize={quantize})"
+        );
+    }
 }
 
 /// A fixed `(seed, batch_size)` is bit-reproducible run-to-run through the
@@ -115,8 +124,8 @@ fn facade_batched_generation_is_reproducible() {
 
     let run = || {
         let mut ac = ActorCritic::new(vocab.size(), cfg());
-        ac.train_batch(&env, 10, 1);
-        ac.generate_batched(&env, 13, 8)
+        ac.train(&env, 10, 1);
+        ac.generate(None, &env, 13, 8)
             .into_iter()
             .map(|ep| ep.actions)
             .collect::<Vec<_>>()

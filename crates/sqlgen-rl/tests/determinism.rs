@@ -1,9 +1,7 @@
-//! Determinism guarantees of the batched/parallel rollout paths.
-//!
-//! * `threads = 1` must reproduce the pre-kernel-rewrite token streams
-//!   bit-for-bit (`fixtures/golden_tokens.json`, dumped by
-//!   `examples/golden_dump.rs` from the original per-episode loops).
-//! * `threads > 1` must be reproducible run-to-run for a fixed seed.
+//! Determinism guarantee of the lane engine at width 1: training and
+//! generation must reproduce the pre-kernel-rewrite token streams
+//! bit-for-bit (`fixtures/golden_tokens.json`, dumped by
+//! `examples/golden_dump.rs` from the original per-episode loops).
 
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
@@ -59,8 +57,9 @@ fn fixture_episodes(key: &str) -> Vec<Vec<usize>> {
         .collect()
 }
 
-/// The batched APIs at `threads = 1` reproduce the exact token streams the
-/// original (pre-arena, pre-fused-kernel) per-episode loops produced.
+/// The trainers at one lane reproduce the exact token streams the original
+/// (pre-arena, pre-fused-kernel, pre-lane-engine) per-episode loops
+/// produced.
 #[test]
 fn serial_batches_reproduce_golden_token_streams() {
     let (db, vocab) = testbed();
@@ -69,13 +68,13 @@ fn serial_batches_reproduce_golden_token_streams() {
 
     let mut ac = ActorCritic::new(vocab.size(), cfg());
     let train: Vec<Vec<usize>> = ac
-        .train_batch(&env, 40, 1)
+        .train(&env, 40, 1)
         .into_iter()
         .map(|ep| ep.actions)
         .collect();
     assert_eq!(train, fixture_episodes("ac_train"), "AC training drifted");
     let generated: Vec<Vec<usize>> = ac
-        .generate_batch(&env, 10, 1)
+        .generate(None, &env, 10, 1)
         .into_iter()
         .map(|ep| ep.actions)
         .collect();
@@ -87,13 +86,13 @@ fn serial_batches_reproduce_golden_token_streams() {
 
     let mut rf = Reinforce::new(vocab.size(), cfg());
     let train: Vec<Vec<usize>> = rf
-        .train_batch(&env, 20, 1)
+        .train(&env, 20, 1)
         .into_iter()
         .map(|ep| ep.actions)
         .collect();
     assert_eq!(train, fixture_episodes("rf_train"), "RF training drifted");
     let generated: Vec<Vec<usize>> = rf
-        .generate_batch(&env, 5, 1)
+        .generate(None, &env, 5, 1)
         .into_iter()
         .map(|ep| ep.actions)
         .collect();
@@ -102,33 +101,4 @@ fn serial_batches_reproduce_golden_token_streams() {
         fixture_episodes("rf_generate"),
         "RF generation drifted"
     );
-}
-
-/// `threads = 4` is a different (seed-space) run than `threads = 1`, but it
-/// must be bit-reproducible run-to-run: scheduling may interleave workers
-/// arbitrarily, the collected batches may not.
-#[test]
-fn parallel_training_is_reproducible_run_to_run() {
-    let (db, vocab) = testbed();
-    let est = Estimator::build(&db);
-    let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
-
-    let run = || {
-        let mut ac = ActorCritic::new(vocab.size(), cfg());
-        let mut actions: Vec<Vec<usize>> = ac
-            .train_batch(&env, 12, 4)
-            .into_iter()
-            .map(|ep| ep.actions)
-            .collect();
-        actions.extend(
-            ac.generate_batch(&env, 8, 4)
-                .into_iter()
-                .map(|ep| ep.actions),
-        );
-        actions
-    };
-    let a = run();
-    let b = run();
-    assert_eq!(a.len(), 20);
-    assert_eq!(a, b, "threads=4 run diverged between identical runs");
 }

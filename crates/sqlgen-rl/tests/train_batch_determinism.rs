@@ -4,8 +4,9 @@
 //!   batched backward is bit-identical to a serial `backward_episode` of
 //!   that lane's episode alone, at several batch widths, for both the
 //!   actor and the critic.
-//! * `batch <= 1` through the trainer facade is bit-identical to the
-//!   legacy per-episode training loop.
+//! * One lane through the trainer facade is one episode and one update per
+//!   round, so splitting a training run into calls changes nothing (the
+//!   golden fixtures in `determinism.rs` pin the run itself).
 //! * A fixed `(seed, batch)` training run is reproducible run-to-run.
 
 use rand::rngs::StdRng;
@@ -13,8 +14,8 @@ use rand::SeedableRng;
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
-    collect_episodes_batched, rewards_to_go, run_episode_into, worker_seed, ActorCritic, ActorNet,
-    Constraint, CriticNet, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
+    collect_episodes_batched, lane_rngs, rewards_to_go, run_episode_into, worker_seed, ActorCritic,
+    ActorNet, Constraint, CriticNet, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
     TrainConfig, TrainRollout,
 };
 use sqlgen_storage::gen::tpch_database;
@@ -56,18 +57,22 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
     let est = Estimator::build(&db);
     let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
     let c = cfg();
-    let actor = ActorNet::new(vocab.size(), &c.net, 1234);
-    let critic = CriticNet::new(vocab.size(), &c.net, 1234 ^ 0xc717);
+    let mut actor = ActorNet::new(vocab.size(), &c.net, 1234);
+    let mut critic = CriticNet::new(vocab.size(), &c.net, 1234 ^ 0xc717);
     let base = 0x7EA1;
+    // Serial references start from untouched networks: `ensure_grads`
+    // lends the networks' own gradient buffers to lane 0.
+    let (ref_actor, ref_critic) = (actor.clone(), critic.clone());
+    let mut agrads = NetGradsBatch::default();
+    let mut cgrads = NetGradsBatch::default();
 
-    for &batch in &[2usize, 4, 8] {
+    for &batch in &[1usize, 2, 4, 8] {
         let mut ro = TrainRollout::new();
-        let eps = ro.collect(&actor, &env, batch, base);
+        let eps = ro.collect(&actor, &env, &mut lane_rngs(base, batch));
         assert_eq!(eps.len(), batch);
 
         // Batched actor backward into per-lane arenas.
         let advantages: Vec<Vec<f32>> = eps.iter().map(|ep| rewards_to_go(&ep.rewards)).collect();
-        let mut agrads = NetGradsBatch::default();
         actor.ensure_grads(&mut agrads, batch);
         actor.backward_episodes_batch(
             batch,
@@ -92,7 +97,6 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             let (_, dv) = ActorCritic::td_terms(&values, &ep.rewards);
             dvalues.push(dv);
         }
-        let mut cgrads = NetGradsBatch::default();
         critic.ensure_grads(&mut cgrads, batch);
         critic.backward_episodes_batch(batch, &ro.csteps, &ro.lens, &dvalues, &mut cgrads);
 
@@ -100,7 +104,7 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             // Serial reference: same seed must reproduce the lane's episode.
             let mut rng = StdRng::seed_from_u64(worker_seed(base, lane));
             let mut sro = Rollout::new();
-            let mut a2 = actor.clone();
+            let mut a2 = ref_actor.clone();
             let serial = run_episode_into(&a2, &env, true, &mut rng, &mut sro);
             assert_eq!(
                 serial.actions, eps[lane].actions,
@@ -130,7 +134,7 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             assert_eq!(a2.head.b.grad.data, agrads.head[lane].b.data);
 
             // Serial critic reference over the same token stream.
-            let mut c2 = critic.clone();
+            let mut c2 = ref_critic.clone();
             let mut crng = StdRng::seed_from_u64(0xC0FFEE ^ lane as u64);
             let mut cstate = c2.begin();
             let mut csteps = Vec::new();
@@ -166,32 +170,33 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
     }
 }
 
-/// Through the trainer facade, `train_batched(n, 1)` is the legacy
-/// per-episode path: identical episodes and identical final weights.
+/// Through the trainer facade, one lane trains one episode per round on
+/// the trainer's own RNG stream: one call of 8 episodes equals calls of 3
+/// and 5 — identical episodes and identical final weights.
 #[test]
-fn facade_train_batch_one_is_bit_identical_to_legacy() {
+fn facade_width_one_training_is_call_split_invariant() {
     let (db, vocab) = testbed();
     let est = Estimator::build(&db);
     let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
 
-    let mut legacy = ActorCritic::new(vocab.size(), cfg());
-    let legacy_eps: Vec<Vec<usize>> = (0..8).map(|_| legacy.train_episode(&env).actions).collect();
-
-    let mut batched = ActorCritic::new(vocab.size(), cfg());
-    let batched_eps: Vec<Vec<usize>> = batched
-        .train_batched(&env, 8, 1)
+    let mut whole = ActorCritic::new(vocab.size(), cfg());
+    let whole_eps: Vec<Vec<usize>> = whole
+        .train(&env, 8, 1)
         .into_iter()
         .map(|ep| ep.actions)
         .collect();
 
-    assert_eq!(legacy_eps, batched_eps, "batch=1 is not the legacy path");
+    let mut split = ActorCritic::new(vocab.size(), cfg());
+    let mut split_eps: Vec<Vec<usize>> = Vec::new();
+    for n in [3, 5] {
+        split_eps.extend(split.train(&env, n, 1).into_iter().map(|ep| ep.actions));
+    }
+
+    assert_eq!(whole_eps, split_eps, "width-1 rounds depend on call split");
+    assert_eq!(whole.actor.head.w.value.data, split.actor.head.w.value.data);
     assert_eq!(
-        legacy.actor.head.w.value.data,
-        batched.actor.head.w.value.data
-    );
-    assert_eq!(
-        legacy.critic.head.w.value.data,
-        batched.critic.head.w.value.data
+        whole.critic.head.w.value.data,
+        split.critic.head.w.value.data
     );
 }
 
@@ -206,7 +211,7 @@ fn batched_training_and_quantized_generation_are_reproducible() {
     let run = || {
         let mut ac = ActorCritic::new(vocab.size(), cfg());
         let eps: Vec<Vec<usize>> = ac
-            .train_batched(&env, 10, 4)
+            .train(&env, 10, 4)
             .into_iter()
             .map(|ep| ep.actions)
             .collect();

@@ -21,6 +21,7 @@ pub mod bufpool;
 pub mod cursor;
 pub mod database;
 pub mod dist;
+pub mod durable;
 pub mod gen;
 pub mod heap;
 pub mod paged;
@@ -35,7 +36,9 @@ pub use bufpool::{BufferPool, PoolStats};
 pub use cursor::{ColCursor, DbRead, TableRead};
 pub use database::Database;
 pub use gen::{DatabaseSink, RowSink};
-pub use paged::{save_database, PagedDb, PagedDbWriter, PagedTable, DEFAULT_POOL_BYTES};
+pub use paged::{
+    save_database, write_image, PagedDb, PagedDbWriter, PagedTable, DEFAULT_POOL_BYTES,
+};
 pub use pager::{Pager, StorageError, PAGE_SIZE};
 pub use schema::{ColumnDef, ForeignKey, TableSchema};
 pub use stats::{ColumnStats, Histogram, TableStats};

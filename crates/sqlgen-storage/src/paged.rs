@@ -395,23 +395,40 @@ impl DbRead for PagedDb {
     }
 }
 
+/// Streams a database image to `path` without ever exposing a partial
+/// one: `fill` writes the tables into a temp sibling, [`PagedDbWriter::finish`]
+/// adds the catalog and syncs it, and the image is renamed over `path`
+/// (see [`crate::durable::replace_file`]). A [`PagedDb`] already open on
+/// `path` keeps reading the old image.
+pub fn write_image(
+    path: &Path,
+    fill: impl FnOnce(&mut PagedDbWriter) -> Result<(), StorageError>,
+) -> Result<(), StorageError> {
+    crate::durable::replace_file(path, |tmp| {
+        let mut w = PagedDbWriter::create(tmp)?;
+        fill(&mut w)?;
+        w.finish()
+    })
+}
+
 /// Persists an in-memory [`Database`] as a paged image.
 pub fn save_database(db: &Database, path: &Path) -> Result<(), StorageError> {
-    let mut w = PagedDbWriter::create(path)?;
-    for name in db.table_names() {
-        let table = db.table(name).expect("listed table exists");
-        PagedDbWriter::begin_table(&mut w, table.schema.clone())?;
-        let mut row = Vec::with_capacity(table.schema.columns.len());
-        for r in 0..table.row_count() {
-            row.clear();
-            for c in &table.columns {
-                row.push(c.get(r));
+    write_image(path, |w| {
+        for name in db.table_names() {
+            let table = db.table(name).expect("listed table exists");
+            w.begin_table(table.schema.clone())?;
+            let mut row = Vec::with_capacity(table.schema.columns.len());
+            for r in 0..table.row_count() {
+                row.clear();
+                for c in &table.columns {
+                    row.push(c.get(r));
+                }
+                w.push_row(&row)?;
             }
-            PagedDbWriter::push_row(&mut w, &row)?;
+            w.finish_table()?;
         }
-        PagedDbWriter::finish_table(&mut w)?;
-    }
-    w.finish()
+        Ok(())
+    })
 }
 
 #[cfg(test)]
@@ -489,6 +506,32 @@ mod tests {
         let stats = paged.pool_stats();
         assert!(stats.evictions > 0, "tiny pool must evict");
         assert!(paged.verify().is_ok());
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Rebuilding an image path (what `sqlgen builddb` does) must not
+    /// disturb a reader that has the old image open: the new image is
+    /// renamed into place, so the old one stays readable page by page
+    /// through a constantly evicting pool, and the new one verifies.
+    #[test]
+    fn rebuild_leaves_open_readers_on_the_old_image() {
+        let path = temp_path("rebuild");
+        save_database(&sample_db(3000), &path).unwrap();
+        let old = PagedDb::open(&path, 0).unwrap();
+        save_database(&sample_db(40), &path).unwrap();
+
+        let a = old.read_table("a").unwrap();
+        assert_eq!(TableRead::row_count(a), 3000);
+        for r in 0..3000 {
+            assert_eq!(a.value(1, r), Value::Float(r as f64 * 0.25));
+        }
+        assert!(old.verify().is_ok());
+
+        let new = PagedDb::open(&path, DEFAULT_POOL_BYTES).unwrap();
+        assert!(new.verify().is_ok());
+        assert_eq!(TableRead::row_count(new.read_table("a").unwrap()), 40);
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        assert!(!tmp.exists(), "temp image left behind");
         std::fs::remove_file(&path).ok();
     }
 

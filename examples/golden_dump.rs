@@ -1,7 +1,8 @@
-//! One-shot fixture dumper: records the exact token streams the pre-kernel
-//! code produces for fixed seeds. The output is committed as
-//! `crates/sqlgen-rl/tests/fixtures/golden_tokens.json` and guarded by the
-//! determinism tests — `threads = 1` must reproduce it bit-for-bit.
+//! One-shot fixture dumper: records the exact token streams the trainers
+//! produce at one lane for fixed seeds. The committed fixtures were dumped
+//! from the original per-episode loops and are guarded by the determinism
+//! and golden-pipeline tests, which the one-lane engine must reproduce
+//! bit-for-bit; rerun this only to change the fixtures on purpose.
 
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
@@ -34,29 +35,16 @@ fn main() {
     let est = Estimator::build(&db);
     let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
 
+    let actions = |eps: Vec<sqlgen_rl::Episode>| -> Vec<Vec<usize>> {
+        eps.into_iter().map(|ep| ep.actions).collect()
+    };
     let mut ac = ActorCritic::new(vocab.size(), cfg());
-    let mut ac_train = Vec::new();
-    for _ in 0..40 {
-        let ep = ac.train_episode(&env);
-        ac_train.push(ep.actions.clone());
-    }
-    let mut ac_generate = Vec::new();
-    for _ in 0..10 {
-        let ep = ac.generate(&env);
-        ac_generate.push(ep.actions.clone());
-    }
+    let ac_train = actions(ac.train(&env, 40, 1));
+    let ac_generate = actions(ac.generate(None, &env, 10, 1));
 
     let mut rf = Reinforce::new(vocab.size(), cfg());
-    let mut rf_train = Vec::new();
-    for _ in 0..20 {
-        let ep = rf.train_episode(&env);
-        rf_train.push(ep.actions.clone());
-    }
-    let mut rf_generate = Vec::new();
-    for _ in 0..5 {
-        let ep = rf.generate(&env);
-        rf_generate.push(ep.actions.clone());
-    }
+    let rf_train = actions(rf.train(&env, 20, 1));
+    let rf_generate = actions(rf.generate(None, &env, 5, 1));
 
     fn arr(eps: &[Vec<usize>]) -> String {
         let rows: Vec<String> = eps
@@ -86,7 +74,7 @@ fn main() {
     let mut g = LearnedSqlGen::new(
         &db,
         Constraint::cardinality_range(100.0, 500.0),
-        GenConfig::fast().with_seed(5),
+        GenConfig::fast().with_seed(5).with_refine(false),
     );
     g.train(60);
     let trace_bits: Vec<String> = g

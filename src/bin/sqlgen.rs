@@ -14,7 +14,7 @@ use learned_sqlgen::core::{profile, Constraint, ExecBudget, ExecDb, GenConfig, L
 use learned_sqlgen::engine::{ExecOptions, StatementKind};
 use learned_sqlgen::fsm::FsmConfig;
 use learned_sqlgen::storage::gen::Benchmark;
-use learned_sqlgen::storage::{PagedDb, PagedDbWriter, DEFAULT_POOL_BYTES};
+use learned_sqlgen::storage::{write_image, PagedDb, DEFAULT_POOL_BYTES};
 use sqlgen_obs::{obs_error, obs_info};
 use std::process::exit;
 use std::sync::Arc;
@@ -28,7 +28,6 @@ struct Args {
     range: Option<(f64, f64)>,
     n: usize,
     train: usize,
-    threads: usize,
     batch: usize,
     quant: bool,
     kinds: Option<Vec<StatementKind>>,
@@ -57,8 +56,8 @@ FLAGS:
   --metric <card|cost>    constrained metric (default: card)
   --n <count>             queries to generate (default: 10)
   --train <episodes>      RL training episodes (default: 500; 0 with --load)
-  --threads <workers>     rollout worker threads (default: 1 = exact serial)
-  --batch <lanes>         lockstep inference lanes (default: 1 = exact serial)
+  --batch <lanes>         lockstep rollout lanes for training and
+                          generation (default: 1 = one episode at a time)
   --quant                 run inference on an int8 quantized weight snapshot
   --scale <sf>            data scale factor (default: 0.3)
   --seed <u64>            RNG seed (default: 42)
@@ -88,7 +87,6 @@ fn parse_args() -> Args {
         range: None,
         n: 10,
         train: 500,
-        threads: 1,
         batch: 1,
         quant: false,
         kinds: None,
@@ -137,12 +135,6 @@ fn parse_args() -> Args {
             }
             "--n" => args.n = value("--n").parse().unwrap_or_else(|_| fail("--n")),
             "--train" => args.train = value("--train").parse().unwrap_or_else(|_| fail("--train")),
-            "--threads" => {
-                args.threads = value("--threads")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| fail("--threads"))
-                    .max(1)
-            }
             "--batch" => {
                 args.batch = value("--batch")
                     .parse::<usize>()
@@ -535,17 +527,12 @@ fn builddb_main(argv: Vec<String>) -> ! {
         "streaming {} at scale {scale} (seed {seed}) to {out} ...",
         benchmark.name()
     );
-    let mut writer = PagedDbWriter::create(path).unwrap_or_else(|e| {
-        obs_error!("cannot create {out}: {e}");
+    // Built in a temp sibling and renamed into place: a server reading the
+    // old image keeps it, and a crash mid-build leaves it intact.
+    write_image(path, |writer| benchmark.build_into(scale, seed, writer)).unwrap_or_else(|e| {
+        obs_error!("builddb failed: {e}");
         exit(1);
     });
-    benchmark
-        .build_into(scale, seed, &mut writer)
-        .and_then(|()| writer.finish())
-        .unwrap_or_else(|e| {
-            obs_error!("builddb failed: {e}");
-            exit(1);
-        });
     // Reopen read-only to verify every checksum before declaring success.
     let db = PagedDb::open(path, DEFAULT_POOL_BYTES).unwrap_or_else(|e| {
         obs_error!("reopen failed: {e}");
@@ -628,7 +615,6 @@ fn main() {
 
     let mut config = GenConfig::default()
         .with_seed(args.seed)
-        .with_threads(args.threads)
         .with_batch_size(args.batch)
         .with_quantize(args.quant);
     if let Some(kinds) = &args.kinds {

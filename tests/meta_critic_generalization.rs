@@ -71,11 +71,11 @@ fn meta_critic_transfers_to_new_constraint() {
 
         // Scratch with the same budget and the same network seed.
         let mut scratch = ActorCritic::new(vocab.size(), cfg(seed));
-        let mut scratch_trace = Vec::with_capacity(adapt_budget);
-        for _ in 0..adapt_budget {
-            let ep = scratch.train_episode(&env);
-            scratch_trace.push(ep.total_reward() / ep.len().max(1) as f32);
-        }
+        let scratch_trace: Vec<f32> = scratch
+            .train(&env, adapt_budget, 1)
+            .iter()
+            .map(|ep| ep.total_reward() / ep.len().max(1) as f32)
+            .collect();
 
         meta_mean += late(&meta_trace) / seeds.len() as f32;
         scratch_mean += late(&scratch_trace) / seeds.len() as f32;
