@@ -23,15 +23,6 @@ pub struct ActorCritic {
     opt_actor: Adam,
     opt_critic: Adam,
     rng: StdRng,
-    /// Recycled lane-batched training buffers (actor and critic arenas).
-    rollout: TrainRollout,
-    /// Recycled per-lane gradient arenas.
-    agrads: NetGradsBatch,
-    cgrads: NetGradsBatch,
-    /// Recycled per-lane TD terms.
-    advantages: Vec<Vec<f32>>,
-    dvalues: Vec<Vec<f32>>,
-    values: Vec<f32>,
     /// Recycled inference-engine buffers.
     infer: BatchRollout,
 }
@@ -53,12 +44,6 @@ impl ActorCritic {
             opt_critic: Adam::new(cfg.lr_critic),
             rng: StdRng::seed_from_u64(cfg.seed ^ 0x5eed),
             cfg,
-            rollout: TrainRollout::new(),
-            agrads: NetGradsBatch::default(),
-            cgrads: NetGradsBatch::default(),
-            advantages: Vec::new(),
-            dvalues: Vec::new(),
-            values: Vec::new(),
             infer: BatchRollout::new(),
         }
     }
@@ -101,59 +86,59 @@ impl ActorCritic {
     /// (Algorithm 3 as written); see [`crate::train_batch`] and
     /// [`with_lane_rngs`] for the contracts.
     pub fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
+        // Round buffers live for this call only, so wide arenas are not
+        // held through later generation.
+        let mut ro = TrainRollout::new();
+        let mut agrads = NetGradsBatch::default();
+        let mut cgrads = NetGradsBatch::default();
+        let mut advantages: Vec<Vec<f32>> = Vec::new();
+        let mut dvalues: Vec<Vec<f32>> = Vec::new();
+        let mut values: Vec<f32> = Vec::new();
         let mut out = Vec::with_capacity(episodes);
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
             // at `lanes` episodes.
             let b = remaining.min(lanes.max(1));
-            let (actor, ro) = (&self.actor, &mut self.rollout);
+            let actor = &self.actor;
             let eps = with_lane_rngs(&mut self.rng, lanes, b, |rngs| ro.collect(actor, env, rngs));
             let mut crngs: Vec<StdRng> = (0..b)
                 .map(|_| StdRng::seed_from_u64(self.rng.random::<u64>()))
                 .collect();
-            self.rollout.critic_forward(&self.critic, b, &mut crngs);
-            if self.advantages.len() < b {
-                self.advantages.resize_with(b, Vec::new);
-                self.dvalues.resize_with(b, Vec::new);
+            ro.critic_forward(&self.critic, b, &mut crngs);
+            if advantages.len() < b {
+                advantages.resize_with(b, Vec::new);
+                dvalues.resize_with(b, Vec::new);
             }
             for (lane, ep) in eps.iter().enumerate() {
-                let ro = &self.rollout;
-                self.values.clear();
-                self.values
-                    .extend(ro.csteps[lane][..ro.lens[lane]].iter().map(|s| s.value));
+                values.clear();
+                values.extend(ro.csteps[lane][..ro.lens[lane]].iter().map(|s| s.value));
                 Self::td_terms_into(
-                    &self.values,
+                    &values,
                     &ep.rewards,
-                    &mut self.advantages[lane],
-                    &mut self.dvalues[lane],
+                    &mut advantages[lane],
+                    &mut dvalues[lane],
                 );
             }
 
-            let ro = &self.rollout;
-            self.actor.ensure_grads(&mut self.agrads, b);
+            self.actor.ensure_grads(&mut agrads, b);
             self.actor.backward_episodes_batch(
                 b,
                 &ro.steps,
                 &ro.lens,
-                &self.advantages,
+                &advantages,
                 self.cfg.lambda,
-                &mut self.agrads,
+                &mut agrads,
             );
-            self.actor.reduce_grads(&mut self.agrads, b);
+            self.actor.reduce_grads(&mut agrads, b);
             let mut ap = self.actor.params_mut();
             clip_grad_norm(&mut ap, self.cfg.grad_clip);
             self.opt_actor.step(&mut ap);
 
-            self.critic.ensure_grads(&mut self.cgrads, b);
-            self.critic.backward_episodes_batch(
-                b,
-                &ro.csteps,
-                &ro.lens,
-                &self.dvalues,
-                &mut self.cgrads,
-            );
-            self.critic.reduce_grads(&mut self.cgrads, b);
+            self.critic.ensure_grads(&mut cgrads, b);
+            self.critic
+                .backward_episodes_batch(b, &ro.csteps, &ro.lens, &dvalues, &mut cgrads);
+            self.critic.reduce_grads(&mut cgrads, b);
             let mut cp = self.critic.params_mut();
             clip_grad_norm(&mut cp, self.cfg.grad_clip);
             self.opt_critic.step(&mut cp);

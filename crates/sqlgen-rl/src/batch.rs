@@ -558,18 +558,6 @@ pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor + ?Sized>(
     out
 }
 
-/// Collects `n` inference episodes with up to `batch` lockstep lanes
-/// seeded [`worker_seed`]`(base, l)` (see [`BatchRollout`]).
-pub fn collect_episodes_batched<A: InferActor + ?Sized>(
-    actor: &A,
-    env: &SqlGenEnv,
-    n: usize,
-    batch: usize,
-    base: u64,
-) -> Vec<Episode> {
-    BatchRollout::new().collect(actor, env, n, &mut lane_rngs(base, batch.max(1)))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -876,8 +864,8 @@ mod tests {
         let est = Estimator::build(&db);
         let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(1.0, 500.0));
         let actor = actor_for(&vocab);
-        let a = collect_episodes_batched(&actor, &env, 7, 4, 0xabc);
-        let b = collect_episodes_batched(&actor, &env, 7, 4, 0xabc);
+        let a = BatchRollout::new().collect(&actor, &env, 7, &mut lane_rngs(0xabc, 4));
+        let b = BatchRollout::new().collect(&actor, &env, 7, &mut lane_rngs(0xabc, 4));
         assert_eq!(a.len(), 7);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.actions, y.actions);

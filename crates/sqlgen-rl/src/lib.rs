@@ -29,8 +29,7 @@ pub mod train_batch;
 pub use ac_extend::AcExtend;
 pub use actor_critic::ActorCritic;
 pub use batch::{
-    collect_episodes_batched, lane_rngs, run_jobs_batched, with_lane_rngs, worker_seed,
-    BatchRollout, Job, JobOutcome,
+    lane_rngs, run_jobs_batched, with_lane_rngs, worker_seed, BatchRollout, Job, JobOutcome,
 };
 pub use cache::{EstimatorCache, DEFAULT_ESTIMATOR_CACHE_CAPACITY};
 pub use constraint::{Constraint, Metric, Target, POINT_TOLERANCE};

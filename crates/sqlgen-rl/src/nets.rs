@@ -385,11 +385,6 @@ impl ActorNet {
         sample_categorical(&scratch.probs, rng)
     }
 
-    /// Allocates a zeroed batched LSTM state for `batch` lanes.
-    pub fn begin_batch(&self, batch: usize) -> LstmBatchState {
-        self.lstm.zero_batch_state(batch)
-    }
-
     /// One batched inference step over `batch` lockstep lanes.
     ///
     /// Per lane `l` the math is bit-identical to [`ActorNet::infer_step`]
@@ -769,7 +764,7 @@ impl InferActor for ActorNet {
     }
 
     fn begin_batch(&self, batch: usize) -> LstmBatchState {
-        ActorNet::begin_batch(self, batch)
+        self.lstm.zero_batch_state(batch)
     }
 
     fn infer_step_batch(

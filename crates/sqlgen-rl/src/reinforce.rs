@@ -44,12 +44,6 @@ pub struct Reinforce {
     pub cfg: TrainConfig,
     opt: Adam,
     rng: StdRng,
-    /// Recycled lane-batched training buffers (arenas, LSTM states).
-    rollout: TrainRollout,
-    /// Recycled per-lane gradient arenas.
-    grads: NetGradsBatch,
-    /// Recycled per-lane returns.
-    returns: Vec<Vec<f32>>,
     /// Recycled inference-engine buffers.
     infer: BatchRollout,
 }
@@ -64,9 +58,6 @@ impl Reinforce {
             cfg,
             opt,
             rng,
-            rollout: TrainRollout::new(),
-            grads: NetGradsBatch::default(),
-            returns: Vec::new(),
             infer: BatchRollout::new(),
         }
     }
@@ -81,30 +72,35 @@ impl Reinforce {
     /// and one update per round on the trainer's own RNG stream; see
     /// [`crate::train_batch`] and [`with_lane_rngs`] for the contracts.
     pub fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
+        // Round buffers live for this call only, so wide arenas are not
+        // held through later generation.
+        let mut ro = TrainRollout::new();
+        let mut grads = NetGradsBatch::default();
+        let mut returns: Vec<Vec<f32>> = Vec::new();
         let mut out = Vec::with_capacity(episodes);
         let mut remaining = episodes;
         while remaining > 0 {
             // One round = one episode per lane, bounding policy staleness
             // at `lanes` episodes.
             let b = remaining.min(lanes.max(1));
-            let (actor, ro) = (&self.actor, &mut self.rollout);
+            let actor = &self.actor;
             let eps = with_lane_rngs(&mut self.rng, lanes, b, |rngs| ro.collect(actor, env, rngs));
-            if self.returns.len() < b {
-                self.returns.resize_with(b, Vec::new);
+            if returns.len() < b {
+                returns.resize_with(b, Vec::new);
             }
             for (lane, ep) in eps.iter().enumerate() {
-                rewards_to_go_into(&ep.rewards, &mut self.returns[lane]);
+                rewards_to_go_into(&ep.rewards, &mut returns[lane]);
             }
-            self.actor.ensure_grads(&mut self.grads, b);
+            self.actor.ensure_grads(&mut grads, b);
             self.actor.backward_episodes_batch(
                 b,
-                &self.rollout.steps,
-                &self.rollout.lens,
-                &self.returns,
+                &ro.steps,
+                &ro.lens,
+                &returns,
                 self.cfg.lambda,
-                &mut self.grads,
+                &mut grads,
             );
-            self.actor.reduce_grads(&mut self.grads, b);
+            self.actor.reduce_grads(&mut grads, b);
             let mut params = self.actor.params_mut();
             clip_grad_norm(&mut params, self.cfg.grad_clip);
             self.opt.step(&mut params);

@@ -14,8 +14,8 @@ use rand::SeedableRng;
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
-    collect_episodes_batched, lane_rngs, rewards_to_go, run_episode_into, worker_seed, ActorCritic,
-    ActorNet, Constraint, CriticNet, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
+    lane_rngs, rewards_to_go, run_episode_into, worker_seed, ActorCritic, ActorNet, BatchRollout,
+    Constraint, CriticNet, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
     TrainConfig, TrainRollout,
 };
 use sqlgen_storage::gen::tpch_database;
@@ -216,7 +216,8 @@ fn batched_training_and_quantized_generation_are_reproducible() {
             .map(|ep| ep.actions)
             .collect();
         let quant = QuantizedActor::from_actor(&ac.actor);
-        let gen: Vec<Vec<usize>> = collect_episodes_batched(&quant, &env, 9, 4, 0xDEED)
+        let gen: Vec<Vec<usize>> = BatchRollout::new()
+            .collect(&quant, &env, 9, &mut lane_rngs(0xDEED, 4))
             .into_iter()
             .map(|ep| ep.actions)
             .collect();
