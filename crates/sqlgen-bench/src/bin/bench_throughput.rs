@@ -245,12 +245,12 @@ fn main() {
         train_phases.push(p);
     }
     let mut warm = warm.expect("train sweep starts at one lane");
-    let serial = &train_phases[0];
+    let one_lane = &train_phases[0];
     let best_batched = train_phases[1..]
         .iter()
         .max_by(|a, b| a.episodes_per_sec.total_cmp(&b.episodes_per_sec))
         .expect("train sweep has a batched phase");
-    let batched_speedup = best_batched.episodes_per_sec / serial.episodes_per_sec;
+    let batched_speedup = best_batched.episodes_per_sec / one_lane.episodes_per_sec;
     sqlgen_obs::obs_info!(
         "[throughput] train batch={} vs batch=1: {:.2}x episodes/sec",
         best_batched.batch,
@@ -291,9 +291,9 @@ fn main() {
     train_json.push_str("}\n");
     write_out(&out_dir, "BENCH_train.json", &train_json);
 
-    // --- inference batch sweep (warm policy from the serial run) -----------
+    // --- inference batch sweep (warm policy from the one-lane run) ---------
     // `--batch B` narrows the default 1/4/8/16 sweep to [1, B] so the CI
-    // smoke run stays fast; batch 1 is always first (the serial baseline).
+    // smoke run stays fast; batch 1 is always first (the baseline).
     let sweep: Vec<usize> = if args.batch > 1 {
         vec![1, args.batch]
     } else {
