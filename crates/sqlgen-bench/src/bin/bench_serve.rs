@@ -17,8 +17,8 @@
 //!
 //! Open-loop phases run the int8 quantized model when `--quant` is given;
 //! the `quantized` field in each phase records which policy ran. The
-//! open-loop client needs Linux (it reuses the server's raw epoll
-//! bindings); elsewhere only the closed-loop phases run.
+//! open-loop client reuses the server's raw epoll bindings. The server
+//! itself runs only on Linux, so the bench needs Linux too.
 //!
 //! `--smoke` shrinks the run for CI (seconds) and exits non-zero unless
 //! every phase sustained non-zero throughput, the warm phase hit the
@@ -254,7 +254,6 @@ fn run_phase(db: &Database, seed: u64, batch: usize, plan: &LoadPlan) -> PhaseRe
     let server: ServerHandle = serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: plan.workers,
             batch,
             max_queue: 512,
             max_wait_ms: 2,
@@ -886,10 +885,6 @@ fn run_open_phases(
                 max_batch_jobs: (batch * 8).max(16),
                 read_timeout_ms: 120_000,
                 write_timeout_ms: 120_000,
-                // A/B escape hatch: BENCH_SERVE_LEGACY=1 runs the open
-                // phases against the worker-per-connection pool instead of
-                // the event backend (small connection counts only).
-                legacy_pool: std::env::var("BENCH_SERVE_LEGACY").is_ok(),
                 ..ServeConfig::default()
             },
             vec![schema],

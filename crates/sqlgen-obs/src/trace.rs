@@ -1,7 +1,7 @@
 //! Request-scoped tracing: trace ids, span trees and a tail-sampled store.
 //!
 //! The serving pipeline (`sqlgen-serve`) hands a request across several
-//! threads — HTTP worker → admission queue → batcher → lockstep lanes —
+//! threads — event loop → shard queue → shard worker → lockstep lanes —
 //! so the usual thread-local span stack ([`crate::span`]) cannot attribute
 //! a single request's latency. This module provides the cross-thread
 //! alternative:

@@ -1,8 +1,11 @@
 //! Integration tests for the observability layer.
 //!
 //! The sink and the metrics-enabled switch are process-global, so every test
-//! that installs a sink serializes on `SINK_TEST_LOCK`; metric names are
-//! unique per test because the registry is never reset.
+//! that installs a sink or emits events serializes on `SINK_TEST_LOCK`: an
+//! event emitted by one test would otherwise land in another test's sink.
+//! (`Counter::inc`, `Gauge::set` and `Histogram::record` emit while a sink
+//! is installed; `record_silent` does not.) Metric names are unique per
+//! test because the registry is never reset.
 
 use sqlgen_obs::{metrics, obs_count, obs_info, obs_span, obs_time, Event, JsonlSink, MemorySink};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -65,6 +68,8 @@ fn histogram_bucketing_tracks_known_quantiles() {
 
 #[test]
 fn counter_concurrent_increments_sum_exactly() {
+    // `inc` emits a count event whenever a sink is installed.
+    let _guard = sink_guard();
     let threads = 8;
     let per_thread = 10_000u64;
     let counter = metrics::global().counter("test.counter.concurrent");

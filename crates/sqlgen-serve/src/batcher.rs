@@ -1,15 +1,11 @@
-//! Dynamic batcher: coalesces concurrent generation requests into one
-//! lockstep GEMM window.
+//! The pure half of generation serving: request parsing, the per-database
+//! [`Schema`] bundle, and [`run_window`], which runs a gathered window of
+//! requests on lockstep GEMM lanes.
 //!
-//! The flow is `queue → window → lanes`:
-//!
-//! 1. HTTP workers push [`GenTask`]s onto the schema's bounded queue.
-//! 2. The batcher thread blocks for the first task, then keeps gathering
-//!    until either `max_wait` elapses or the window holds
-//!    `max_batch_jobs` episode jobs — latency-bounded coalescing.
-//! 3. The window is expanded into per-episode [`sqlgen_rl::Job`]s (request
-//!    `i`, episode `j` → tag `i << 32 | j`, seed `worker_seed(req.seed, j)`)
-//!    and run through [`sqlgen_rl::run_jobs_batched`] on `lanes` lanes.
+//! A window is expanded into per-episode [`sqlgen_rl::Job`]s (request `i`,
+//! episode `j` → tag `i << 32 | j`, seed `worker_seed(req.seed, j)`) and
+//! run through [`sqlgen_rl::run_jobs_batched`]. Admission, gathering and
+//! replies live with the shard workers (`shard.rs`).
 //!
 //! Because every job re-seeds its lane RNG and zeroes its LSTM lane at
 //! assignment, the response bytes for a request are a pure function of
@@ -17,21 +13,18 @@
 //! co-tenant requests share the window or how wide the batch is. That is
 //! the contract the `serve-equivalence` fuzz family checks.
 
-use crate::queue::BoundedQueue;
 use crate::registry::ModelRegistry;
 use sqlgen_core::{Algorithm, Constraint, GenConfig, Refiner, Target};
-use sqlgen_engine::{render, Estimator};
+use sqlgen_engine::Estimator;
 use sqlgen_fsm::{FsmConfig, Vocabulary};
-use sqlgen_obs::trace::ROOT_SPAN;
-use sqlgen_obs::{Labels, RequestTrace, TraceHandle};
+use sqlgen_obs::TraceHandle;
 use sqlgen_rl::{
     run_jobs_batched, worker_seed, ActorCritic, ActorNet, Episode, InferActor, Job, JobOutcome,
     Reinforce, SqlGenEnv,
 };
 use sqlgen_storage::Database;
 use std::path::PathBuf;
-use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Upper bound on `n` per request; keeps one request from monopolising
 /// windows far beyond `max_batch_jobs`.
@@ -135,68 +128,15 @@ impl GenRequest {
     }
 }
 
-/// One generated query in a response.
-#[derive(Debug, Clone)]
-pub struct ServedQuery {
-    pub sql: String,
-    pub measured: f64,
-    pub satisfied: bool,
-}
-
-/// What the batcher sends back to the waiting HTTP worker.
-#[derive(Debug, Clone)]
-pub struct RequestOutcome {
-    pub queries: Vec<ServedQuery>,
-    /// Episodes aborted by the request deadline (so `queries.len() +
-    /// expired == n`).
-    pub expired: usize,
-    pub model_label: String,
-    pub model_version: u64,
-}
-
-/// Where a finished [`RequestOutcome`] goes: a blocking HTTP worker parked
-/// on a rendezvous channel (legacy pool), or an event-loop completion
-/// mailbox plus a wakeup (event backend). Either way delivery never
-/// blocks; a receiver that already gave up is skipped silently.
-pub enum Responder {
-    Channel(mpsc::SyncSender<RequestOutcome>),
-    #[cfg(target_os = "linux")]
-    Event(crate::event_loop::EventReply),
-}
-
-impl Responder {
-    pub fn send(&self, outcome: RequestOutcome) {
-        match self {
-            Responder::Channel(tx) => {
-                let _ = tx.try_send(outcome);
-            }
-            #[cfg(target_os = "linux")]
-            Responder::Event(reply) => reply.deliver(outcome),
-        }
-    }
-}
-
-/// A request travelling through the admission queue.
-pub struct GenTask {
-    pub req: GenRequest,
-    pub deadline: Option<Instant>,
-    pub enqueued: Instant,
-    pub reply: Responder,
-    /// Request trace the batcher attributes `queue_wait` / `batch_gather` /
-    /// `lane_exec` spans to (opened by the HTTP layer, `None` untraced).
-    pub trace: Option<Arc<RequestTrace>>,
-}
-
 /// The generation-side bundle for one database: action space, statistics,
-/// FSM limits, model registry and admission queue. Everything the batcher
-/// needs; the HTTP layer only touches `queue` and `registry`.
+/// FSM limits, model registry, refiner and result cache. Everything a
+/// shard worker needs to run a window on this database.
 pub struct Schema {
     pub name: String,
     pub vocab: Vocabulary,
     pub estimator: Estimator,
     pub fsm: FsmConfig,
     pub registry: ModelRegistry,
-    pub queue: BoundedQueue<GenTask>,
     /// Constraint-miss refinement engine shared by every window on this
     /// schema (deterministic local search + miss cache; DESIGN.md §12).
     pub refiner: Refiner,
@@ -211,12 +151,16 @@ impl Schema {
     /// `LearnedSqlGen::new` does — including the bootstrap policy weights —
     /// so an untrained server is bitwise-equivalent to an untrained
     /// generator with the same `GenConfig`.
+    ///
+    /// `_queue_cap` is unused: admission is bounded per shard by
+    /// `ServeConfig::max_queue`. The parameter stays so existing callers
+    /// keep building.
     pub fn build(
         name: &str,
         db: &Database,
         config: &GenConfig,
         model_dir: Option<PathBuf>,
-        queue_cap: usize,
+        _queue_cap: usize,
     ) -> Schema {
         let vocab = Vocabulary::build(db, &config.sample);
         let estimator = Estimator::build(db);
@@ -244,7 +188,6 @@ impl Schema {
             estimator,
             fsm: config.fsm.clone(),
             registry,
-            queue: BoundedQueue::named(queue_cap, name),
             refiner: Refiner::new(config.refine.clone()),
             cache: crate::cache::ResultCache::new(64 * 1024 * 1024, 8, name),
         }
@@ -408,189 +351,10 @@ pub fn run_window<A: InferActor>(
         .collect()
 }
 
-/// Batcher knobs; `lanes` is the GEMM batch width, `max_wait` the window
-/// gather deadline, `max_batch_jobs` the episode-count cap per window.
-#[derive(Debug, Clone)]
-pub struct BatcherConfig {
-    pub lanes: usize,
-    pub max_wait: Duration,
-    pub max_batch_jobs: usize,
-}
-
-impl Default for BatcherConfig {
-    fn default() -> Self {
-        BatcherConfig {
-            lanes: 8,
-            max_wait: Duration::from_millis(5),
-            max_batch_jobs: 64,
-        }
-    }
-}
-
-/// The batcher thread body. Runs until the schema's queue is closed and
-/// drained; every admitted task gets a reply (receivers that already gave
-/// up are skipped silently).
-pub fn batch_loop(schema: &Schema, cfg: &BatcherConfig) {
-    loop {
-        let Some(first) = schema.queue.pop_timeout(Duration::from_millis(50)) else {
-            if schema.queue.is_closed() && schema.queue.is_empty() {
-                return;
-            }
-            continue;
-        };
-        // Each task remembers when it left the queue, so queue_wait and
-        // batch_gather split per task rather than at window granularity.
-        let mut tasks = vec![(first, Instant::now())];
-        let mut job_count = tasks[0].0.req.n;
-        // Coalesce whatever is already queued, but run the moment the
-        // queue drains: waiting out the rest of `max_wait` only adds
-        // latency at low load (the gather histogram used to pin at the
-        // full window), while under load windows still fill because
-        // arrivals accumulate behind the previous window's execution.
-        while job_count < cfg.max_batch_jobs {
-            match schema.queue.try_pop() {
-                Some(t) => {
-                    job_count += t.req.n;
-                    tasks.push((t, Instant::now()));
-                }
-                None => break,
-            }
-        }
-        run_window_tasks(schema, tasks, cfg);
-    }
-}
-
-/// Executes one gathered window: registry hot-swap (between windows, never
-/// mid-window; a swap invalidates the result cache), trace-span tiling,
-/// [`run_window`], and replies. Used by the legacy per-schema batcher
-/// thread; shard workers call [`run_window_tasks_with_model`] with their
-/// cached snapshot instead.
-pub fn run_window_tasks(schema: &Schema, tasks: Vec<(GenTask, Instant)>, cfg: &BatcherConfig) {
-    if let Ok(true) = schema.registry.refresh() {
-        schema.cache.clear();
-    }
-    let model = schema.registry.current();
-    run_window_tasks_with_model(schema, &model, tasks, cfg);
-}
-
-/// [`run_window_tasks`] with the model snapshot chosen by the caller. The
-/// shard loop resolves `model` once per `(schema, registry generation)`
-/// and reuses the `Arc` across windows, so steady-state windows skip the
-/// registry `RwLock` entirely. The caller owns the refresh/invalidations
-/// that `run_window_tasks` performs.
-pub fn run_window_tasks_with_model(
-    schema: &Schema,
-    model: &Arc<crate::registry::ServedModel>,
-    tasks: Vec<(GenTask, Instant)>,
-    cfg: &BatcherConfig,
-) {
-    let job_count: usize = tasks.iter().map(|(t, _)| t.req.n).sum();
-    // One labeled series per (schema, batch_width); the lookup is a map
-    // probe per window, invisible next to the window itself.
-    let phase_labels = Labels::new()
-        .with("schema", &schema.name)
-        .with("batch_width", &cfg.lanes.to_string());
-    let m = sqlgen_obs::metrics::global();
-    let queue_wait_h = m.histogram_with("serve.phase.queue_wait_us", &phase_labels);
-    let gather_h = m.histogram_with("serve.phase.gather_us", &phase_labels);
-    let exec_h = m.histogram_with("serve.phase.exec_us", &phase_labels);
-    let started = Instant::now();
-    let reqs: Vec<WindowRequest> = tasks
-        .iter()
-        .map(|(t, popped)| {
-            queue_wait_h.record_silent((*popped - t.enqueued).as_micros() as f64);
-            gather_h.record_silent((started - *popped).as_micros() as f64);
-            // queue_wait ends where batch_gather starts and batch_gather
-            // ends where lane_exec starts, so the three phases tile the
-            // request wall time without overlap. lane_exec stays open
-            // until the window finishes; per-job `episode` spans parent
-            // under it.
-            let trace = t.trace.as_ref().map(|tr| {
-                tr.span_between("queue_wait", ROOT_SPAN, t.enqueued, *popped);
-                tr.span_between("batch_gather", ROOT_SPAN, *popped, started);
-                let lane = tr.open_span("lane_exec", ROOT_SPAN, started);
-                tr.annotate_str("schema", &schema.name);
-                tr.annotate_str("model", &model.label);
-                tr.annotate_num("model_version", model.version as f64);
-                tr.annotate_num("window_requests", tasks.len() as f64);
-                tr.annotate_num("window_jobs", job_count as f64);
-                tr.annotate_num("batch_width", cfg.lanes as f64);
-                TraceHandle {
-                    trace: tr.clone(),
-                    parent: lane,
-                }
-            });
-            WindowRequest {
-                constraint: t.req.constraint,
-                n: t.req.n,
-                seed: t.req.seed,
-                deadline: t.deadline,
-                trace,
-            }
-        })
-        .collect();
-    sqlgen_obs::obs_record!("serve.batch.requests", tasks.len() as f64);
-    sqlgen_obs::obs_record!("serve.batch.jobs", job_count as f64);
-    for (t, _) in &tasks {
-        sqlgen_obs::obs_record!(
-            "serve.queue.wait_us",
-            (started - t.enqueued).as_micros() as f64
-        );
-    }
-    // Windows run on the int8 snapshot when the registry quantizes.
-    let outcomes = match &model.quant {
-        Some(q) => run_window(
-            q,
-            &schema.vocab,
-            &schema.estimator,
-            &schema.fsm,
-            &reqs,
-            cfg.lanes,
-            Some(&schema.refiner),
-        ),
-        None => run_window(
-            &model.actor,
-            &schema.vocab,
-            &schema.estimator,
-            &schema.fsm,
-            &reqs,
-            cfg.lanes,
-            Some(&schema.refiner),
-        ),
-    };
-    let window_end = Instant::now();
-    sqlgen_obs::obs_record!(
-        "serve.window.latency_us",
-        (window_end - started).as_micros() as f64
-    );
-    for r in &reqs {
-        if let Some(handle) = &r.trace {
-            handle.trace.close_span(handle.parent, window_end);
-        }
-        exec_h.record_silent((window_end - started).as_micros() as f64);
-    }
-    for ((task, _), out) in tasks.into_iter().zip(outcomes) {
-        let queries = out
-            .episodes
-            .iter()
-            .map(|ep| ServedQuery {
-                sql: render(&ep.statement),
-                measured: ep.measured,
-                satisfied: ep.satisfied,
-            })
-            .collect();
-        task.reply.send(RequestOutcome {
-            queries,
-            expired: out.expired,
-            model_label: model.label.clone(),
-            model_version: model.version,
-        });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sqlgen_engine::render;
     use sqlgen_storage::gen::tpch_database;
 
     fn fixture() -> (Database, GenConfig) {
@@ -767,50 +531,5 @@ mod tests {
             assert_eq!(x.actions, y.actions);
             assert_eq!(x.measured.to_bits(), y.measured.to_bits());
         }
-    }
-
-    #[test]
-    fn batch_loop_replies_to_every_task_and_drains_on_close() {
-        let (db, config) = fixture();
-        let schema = std::sync::Arc::new(Schema::build("t", &db, &config, None, 16));
-        let cfg = BatcherConfig {
-            lanes: 4,
-            max_wait: Duration::from_millis(2),
-            max_batch_jobs: 8,
-        };
-        let mut rxs = Vec::new();
-        for seed in 0..5u64 {
-            let (tx, rx) = mpsc::sync_channel(1);
-            schema
-                .queue
-                .try_push(GenTask {
-                    req: GenRequest {
-                        schema: String::new(),
-                        constraint: Constraint::cardinality_range(1.0, 500.0),
-                        n: 2,
-                        seed,
-                        timeout_ms: None,
-                    },
-                    deadline: None,
-                    enqueued: Instant::now(),
-                    reply: Responder::Channel(tx),
-                    trace: None,
-                })
-                .map_err(|(e, _)| e)
-                .unwrap();
-            rxs.push(rx);
-        }
-        // Close before starting: the loop must still drain all queued work.
-        schema.queue.close();
-        let s = schema.clone();
-        let cfg2 = cfg.clone();
-        let worker = std::thread::spawn(move || batch_loop(&s, &cfg2));
-        for rx in rxs {
-            let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-            assert_eq!(out.queries.len() + out.expired, 2);
-            assert_eq!(out.model_label, "builtin");
-        }
-        worker.join().unwrap();
-        assert!(schema.queue.is_empty());
     }
 }

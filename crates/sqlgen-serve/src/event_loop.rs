@@ -16,8 +16,8 @@
 //! Each loop owns its connections outright (a slab indexed by the epoll
 //! token), so there is no per-connection locking anywhere: other threads
 //! talk to a loop only through two mailboxes — new sockets from the
-//! acceptor and [`EventReply`] completions from shard workers — both
-//! paired with an eventfd wakeup.
+//! acceptor and [`crate::shard::Responder`] completions from shard
+//! workers — both paired with an eventfd wakeup.
 //!
 //! The per-connection state machine:
 //!
@@ -30,22 +30,24 @@
 //!   400/413 and close. A request that sits incomplete past the read
 //!   timeout is a slowloris: the sweep closes it regardless of how
 //!   diligently it trickles bytes.
-//! * **dispatch** — scrape endpoints answer inline; `/generate` first
-//!   consults the schema's result cache (a hit never touches a queue),
-//!   then routes to a shard by `(schema, model-version)`. One in-flight
-//!   generation per connection, so pipelined requests answer in order.
+//! * **dispatch** — scrape endpoints answer inline; `/generate` goes
+//!   through [`crate::server::admit_generate`], which answers a result
+//!   cache hit in place (never touching a queue) and otherwise routes to
+//!   a shard by `(schema, model-version)`. One in-flight generation per
+//!   connection, so pipelined requests answer in order.
 //! * **buffered write** — responses append to an out buffer flushed as
 //!   `EPOLLOUT` allows; a peer that stops reading hits the write-progress
 //!   deadline.
 
 #![cfg(target_os = "linux")]
 
-use crate::batcher::{BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder, Schema};
+use crate::batcher::{GenRequest, Schema};
 use crate::cache::CacheKey;
 use crate::http::{parse_buf, write_response, BufParse, Response};
-use crate::queue::PushError;
-use crate::server::{endpoint_label, finalize_response, outcome_json, route, ServerState};
-use crate::shard::ShardPool;
+use crate::server::{
+    admit_generate, endpoint_label, finalize_response, outcome_json, route, Admission, ServerState,
+};
+use crate::shard::{Mailbox, RequestOutcome, Responder, ShardPool, WindowConfig};
 use crate::sys::{Epoll, EpollEvent, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use sqlgen_obs::{RequestTrace, TraceContext};
 use std::io::{Read, Write};
@@ -77,49 +79,41 @@ struct Completion {
     outcome: RequestOutcome,
 }
 
-/// The event-backend half of [`Responder`]: shard workers deliver a
-/// finished outcome to the owning loop's mailbox and wake it. `req_gen`
-/// guards against slot reuse — a completion for a connection that timed
-/// out or closed is dropped, never written to a stranger.
-pub struct EventReply {
-    shared: Arc<LoopShared>,
-    token: usize,
-    req_gen: u64,
-}
-
-impl EventReply {
-    pub(crate) fn deliver(&self, outcome: RequestOutcome) {
-        self.shared
-            .completions
+/// Shard workers deliver a finished outcome to the owning loop's mailbox
+/// and wake it.
+impl Mailbox for LoopShared {
+    fn deliver(&self, token: usize, req_gen: u64, outcome: RequestOutcome) {
+        self.completions
             .lock()
             .expect("completion mailbox")
             .push(Completion {
-                token: self.token,
-                req_gen: self.req_gen,
+                token,
+                req_gen,
                 outcome,
             });
-        self.shared.wake.wake();
+        self.wake.wake();
     }
 }
 
 /// Thread bundle returned by [`start`]; joined by
 /// [`crate::server::ServerHandle::shutdown`].
 pub(crate) struct EventBackend {
+    accept_stop: Arc<AtomicBool>,
     accept: JoinHandle<()>,
     loops: Vec<Arc<LoopShared>>,
     loop_handles: Vec<JoinHandle<()>>,
-    pub(crate) pool: Arc<ShardPool>,
     shard_workers: Vec<JoinHandle<()>>,
 }
 
 impl EventBackend {
-    /// Drain order matters: acceptor first (no new sockets), then shard
-    /// queues close and workers finish (every admitted task delivers its
-    /// completion), then the loops stop — they flush those completions
-    /// and any buffered writes before exiting.
-    pub(crate) fn shutdown(self) {
+    /// Drain order matters: acceptor first (no new sockets), then the
+    /// shard queues of `pool` close and workers finish (every admitted
+    /// task delivers its completion), then the loops stop — they flush
+    /// those completions and any buffered writes before exiting.
+    pub(crate) fn shutdown(self, pool: &ShardPool) {
+        self.accept_stop.store(true, Ordering::SeqCst);
         let _ = self.accept.join();
-        self.pool.close();
+        pool.close();
         for w in self.shard_workers {
             let _ = w.join();
         }
@@ -133,21 +127,19 @@ impl EventBackend {
     }
 }
 
-/// Spawns the acceptor, event loops and shard workers. The caller's
-/// `accept_stop` flag stops the acceptor (shared with the legacy path).
+/// Spawns the acceptor, event loops and the workers of the state's shard
+/// pool.
 pub(crate) fn start(
     listener: TcpListener,
     state: Arc<ServerState>,
-    accept_stop: Arc<AtomicBool>,
 ) -> std::io::Result<EventBackend> {
     let cfg = &state.config;
-    let pool = Arc::new(ShardPool::new(cfg.shards.max(1), cfg.max_queue));
-    let batcher_cfg = BatcherConfig {
+    let window_cfg = WindowConfig {
         lanes: cfg.batch.max(1),
         max_wait: Duration::from_millis(cfg.max_wait_ms),
         max_batch_jobs: cfg.max_batch_jobs.max(1),
     };
-    let shard_workers = pool.spawn_workers(&batcher_cfg, cfg.pin_cpus);
+    let shard_workers = state.pool.spawn_workers(&window_cfg, cfg.pin_cpus);
 
     let nloops = cfg.event_threads.max(1);
     let mut loops = Vec::with_capacity(nloops);
@@ -161,11 +153,10 @@ pub(crate) fn start(
         });
         loops.push(shared.clone());
         let state = state.clone();
-        let pool = pool.clone();
         loop_handles.push(
             std::thread::Builder::new()
                 .name(format!("sqlgen-evloop-{i}"))
-                .spawn(move || match EventLoop::new(state, pool, shared) {
+                .spawn(move || match EventLoop::new(state, shared) {
                     Ok(el) => el.run(),
                     Err(e) => sqlgen_obs::obs_warn!("[serve] event loop failed to start: {e}"),
                 })
@@ -173,13 +164,15 @@ pub(crate) fn start(
         );
     }
 
+    let accept_stop = Arc::new(AtomicBool::new(false));
+    let stop = accept_stop.clone();
     let accept_loops = loops.clone();
     let sndbuf = cfg.sndbuf;
     let accept = std::thread::Builder::new()
         .name("sqlgen-accept".to_string())
         .spawn(move || {
             let mut next = 0usize;
-            while !accept_stop.load(Ordering::SeqCst) {
+            while !stop.load(Ordering::SeqCst) {
                 match listener.accept() {
                     Ok((stream, _)) => {
                         let _ = stream.set_nodelay(true);
@@ -205,10 +198,10 @@ pub(crate) fn start(
         .expect("spawn acceptor");
 
     Ok(EventBackend {
+        accept_stop,
         accept,
         loops,
         loop_handles,
-        pool,
         shard_workers,
     })
 }
@@ -245,12 +238,11 @@ struct Conn {
 
 struct EventLoop {
     state: Arc<ServerState>,
-    pool: Arc<ShardPool>,
     shared: Arc<LoopShared>,
     epoll: Epoll,
     conns: Vec<Option<Conn>>,
     /// Bumped on dispatch, timeout and close; pairs with
-    /// [`EventReply::req_gen`] so stale completions are dropped.
+    /// [`Responder::req_gen`] so stale completions are dropped.
     slot_gen: Vec<u64>,
     free: Vec<usize>,
     read_cap: usize,
@@ -260,11 +252,7 @@ struct EventLoop {
 }
 
 impl EventLoop {
-    fn new(
-        state: Arc<ServerState>,
-        pool: Arc<ShardPool>,
-        shared: Arc<LoopShared>,
-    ) -> std::io::Result<EventLoop> {
+    fn new(state: Arc<ServerState>, shared: Arc<LoopShared>) -> std::io::Result<EventLoop> {
         let epoll = Epoll::new()?;
         epoll.add(shared.wake.fd(), EPOLLIN, WAKE_TOKEN)?;
         let cfg = &state.config;
@@ -273,7 +261,6 @@ impl EventLoop {
         let write_timeout = Duration::from_millis(cfg.write_timeout_ms.max(1));
         Ok(EventLoop {
             state,
-            pool,
             shared,
             epoll,
             conns: Vec::new(),
@@ -440,8 +427,8 @@ impl EventLoop {
                 BufParse::Partial => return,
                 BufParse::Error(e) => {
                     match e.status() {
-                        // Mirror the blocking path: limit/parse errors get
-                        // a terse response and the connection closes.
+                        // Limit/parse errors get a terse response and the
+                        // connection closes.
                         Some(status) => {
                             self.queue_response(i, &Response::error(status, e.detail()), false)
                         }
@@ -473,13 +460,7 @@ impl EventLoop {
             self.dispatch_generate(i, &req.body, started, ctx, trace, keep_alive);
             return;
         }
-        let resp = route(
-            &self.state,
-            req.method.as_str(),
-            &req.path,
-            &req.body,
-            trace.as_ref(),
-        );
+        let resp = route(&self.state, req.method.as_str(), &req.path);
         let resp = finalize_response(&self.state, endpoint, started, ctx, trace, resp);
         self.queue_response(i, &resp, keep_alive);
     }
@@ -493,88 +474,33 @@ impl EventLoop {
         trace: Option<Arc<RequestTrace>>,
         keep_alive: bool,
     ) {
-        let finish = |el: &mut Self, resp: Response, trace: Option<Arc<RequestTrace>>| {
-            let resp = finalize_response(&el.state, "generate", started, ctx, trace, resp);
-            el.queue_response(i, &resp, keep_alive);
-        };
-        let Ok(text) = std::str::from_utf8(body) else {
-            return finish(self, Response::error(400, "body is not utf-8"), trace);
-        };
-        let gr = match GenRequest::from_json(text) {
-            Ok(gr) => gr,
-            Err(e) => return finish(self, Response::error(400, &e), trace),
-        };
-        if let Some(tr) = &trace {
-            tr.annotate_num("n", gr.n as f64);
-            tr.annotate_num("seed", gr.seed as f64);
-        }
-        let Some(schema) = (if gr.schema.is_empty() {
-            self.state.schemas.first().cloned()
-        } else {
-            self.state
-                .schemas
-                .iter()
-                .find(|s| s.name == gr.schema)
-                .cloned()
-        }) else {
-            let msg = format!("unknown schema {:?}", gr.schema);
-            return finish(self, Response::error(404, &msg), trace);
-        };
-
-        // Cache hits are answered right here on the event loop — no queue,
-        // no shard, no window.
-        let key = CacheKey::for_request(&gr, schema.registry.current().version);
-        if let Some(cached) = schema.cache.get(&key) {
-            if let Some(tr) = &trace {
-                tr.annotate_str("cache", "hit");
-            }
-            return finish(self, Response::json(200, cached.as_ref().clone()), trace);
-        }
-        if let Some(tr) = &trace {
-            tr.annotate_str("cache", "miss");
-        }
-
-        let now = Instant::now();
-        let cfg = &self.state.config;
-        let timeout = Duration::from_millis(gr.timeout_ms.unwrap_or(cfg.default_timeout_ms));
-        let deadline = now + timeout;
-        // Same grace as the blocking path: gather time + final lockstep
-        // iteration after the lanes abort at `deadline`.
-        let grace = Duration::from_millis(cfg.max_wait_ms + 2_000);
         self.slot_gen[i] = self.slot_gen[i].wrapping_add(1);
-        let task = GenTask {
-            req: gr.clone(),
-            deadline: Some(deadline),
-            enqueued: now,
-            reply: Responder::Event(EventReply {
-                shared: self.shared.clone(),
-                token: i,
-                req_gen: self.slot_gen[i],
-            }),
-            trace: trace.clone(),
+        let reply = Responder {
+            mailbox: self.shared.clone(),
+            token: i,
+            req_gen: self.slot_gen[i],
         };
-        match self.pool.try_push(&schema, task) {
-            Err((PushError::Full, _)) => {
-                let resp = Response::error(429, "queue full; retry later")
-                    .with_header("retry-after", cfg.retry_after_s.to_string());
-                finish(self, resp, trace);
+        match admit_generate(&self.state, body, trace.as_ref(), reply) {
+            Admission::Respond(resp) => {
+                let resp = finalize_response(&self.state, "generate", started, ctx, trace, resp);
+                self.queue_response(i, &resp, keep_alive);
             }
-            Err((PushError::Closed, _)) => {
-                finish(self, Response::error(503, "server is shutting down"), trace);
-            }
-            Ok(()) => {
-                let Some(conn) = self.conns[i].as_mut() else {
-                    return;
-                };
-                conn.pending = Some(Pending {
-                    req: gr,
-                    schema,
-                    started,
-                    reply_deadline: deadline + grace,
-                    keep_alive,
-                    trace,
-                    ctx,
-                });
+            Admission::Queued {
+                req,
+                schema,
+                reply_deadline,
+            } => {
+                if let Some(conn) = self.conns[i].as_mut() {
+                    conn.pending = Some(Pending {
+                        req,
+                        schema,
+                        started,
+                        reply_deadline,
+                        keep_alive,
+                        trace,
+                        ctx,
+                    });
+                }
             }
         }
     }
@@ -624,7 +550,7 @@ impl EventLoop {
             if let Some(p) = &conn.pending {
                 if now >= p.reply_deadline {
                     let p = conn.pending.take().expect("pending just observed");
-                    // Invalidate the outstanding EventReply.
+                    // Invalidate the outstanding Responder.
                     self.slot_gen[i] = self.slot_gen[i].wrapping_add(1);
                     sqlgen_obs::obs_count!("serve.timeout.count");
                     let resp =

@@ -246,8 +246,8 @@ pub enum BufParse {
 }
 
 /// Non-blocking front-end to [`read_request`] for the event loop: parses
-/// from whatever has been buffered so far. Limits apply exactly as in the
-/// blocking path, so a head over `max_head` or a declared body over
+/// from whatever has been buffered so far. Limits apply exactly as in
+/// [`read_request`], so a head over `max_head` or a declared body over
 /// `max_body` turns into [`BufParse::Error`] even before the peer finishes
 /// sending — bounded memory against slowloris-style trickle.
 pub fn parse_buf(buf: &[u8], limits: &Limits) -> BufParse {

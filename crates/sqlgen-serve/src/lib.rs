@@ -8,23 +8,29 @@
 //!   writing with hard limits (no tokio/hyper in this build environment).
 //! - [`queue`] — bounded admission queue; overflow becomes `429` +
 //!   `Retry-After` instead of unbounded buffering.
-//! - [`batcher`] — dynamic batching: concurrent requests coalesce into one
-//!   lockstep generation window, with per-request deadlines propagated
-//!   into the lanes. Responses are bitwise-identical to unbatched
-//!   generation for the same seed (the `serve-equivalence` fuzz family).
+//! - [`batcher`] — the pure generation window: request parsing, the
+//!   per-database [`Schema`] and [`run_window`], which runs coalesced
+//!   requests on lockstep lanes with per-request deadlines. Responses are
+//!   bitwise-identical to unbatched generation for the same seed (the
+//!   `serve-equivalence` fuzz family).
 //! - [`registry`] — versioned checkpoint registry with atomic hot-swap.
 //! - [`cache`] — sharded LRU over rendered response bodies, keyed on the
 //!   purity tuple `(model-version, schema, seed, constraint, n)`.
-//! - [`shard`] — generation shard workers behind a consistent-hash router
-//!   on `(schema, model-version)`, with optional CPU pinning.
-//! - [`sys`] / [`event_loop`] — Linux-only raw epoll bindings and the
-//!   readiness event-loop backend (the default; `--legacy-pool` keeps the
-//!   thread pool).
+//! - [`shard`] — admission and gather: one bounded queue per shard worker
+//!   behind a consistent-hash router on `(schema, model-version)`, window
+//!   gathering, and replies; optional CPU pinning.
+//! - [`sys`] / [`event_loop`] — raw epoll bindings and the readiness
+//!   event loops, the only transport. Both are Linux-only, so off Linux
+//!   [`serve`] returns `ErrorKind::Unsupported`.
 //! - [`server`] — config, routing (`/generate`, `/healthz`, `/metrics`,
-//!   `/models`, `/models/reload`), backend selection and graceful
+//!   `/models`, `/models/reload`), `/generate` admission and graceful
 //!   drain-style shutdown.
 //! - [`client`] — minimal client used by tests, the CLI and
 //!   `bench_serve`.
+
+// Off Linux `serve` only reports `Unsupported`, leaving the routing and
+// admission code unused.
+#![cfg_attr(not(target_os = "linux"), allow(dead_code))]
 
 pub mod batcher;
 pub mod cache;
@@ -38,8 +44,7 @@ pub mod shard;
 pub mod sys;
 
 pub use batcher::{
-    run_window, run_window_tasks, BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder,
-    Schema, ServedQuery, WindowOutcome, WindowRequest, MAX_QUERIES_PER_REQUEST,
+    run_window, GenRequest, Schema, WindowOutcome, WindowRequest, MAX_QUERIES_PER_REQUEST,
 };
 pub use cache::{CacheKey, ResultCache};
 pub use http::{
@@ -48,4 +53,6 @@ pub use http::{
 pub use queue::{BoundedQueue, PushError};
 pub use registry::{ModelRegistry, ServedModel};
 pub use server::{outcome_json, serve, ServeConfig, ServerHandle};
-pub use shard::{Shard, ShardPool, ShardTask};
+pub use shard::{
+    GenTask, RequestOutcome, Responder, ServedQuery, Shard, ShardPool, ShardTask, WindowConfig,
+};

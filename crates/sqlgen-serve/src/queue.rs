@@ -1,9 +1,10 @@
-//! Bounded admission queue between HTTP workers and the dynamic batcher.
+//! Bounded admission queue between the event loops and a shard worker.
 //!
 //! Admission control happens at push time: a full queue rejects immediately
 //! (the HTTP layer turns that into `429` + `Retry-After`) instead of
-//! buffering unbounded work the generation lanes cannot keep up with. The
-//! queue-depth gauge `serve.queue.depth` tracks every transition.
+//! buffering unbounded work the generation lanes cannot keep up with. A
+//! named queue's depth gauge `serve.queue.depth{shard}` tracks every
+//! transition.
 //!
 //! Shutdown is drain-oriented: after [`BoundedQueue::close`], pushes fail
 //! with [`PushError::Closed`] (→ 503) but pops keep returning queued items
@@ -33,9 +34,7 @@ pub struct BoundedQueue<T> {
     inner: Mutex<Inner<T>>,
     not_empty: Condvar,
     cap: usize,
-    /// Per-schema labeled depth gauge (`serve.queue.depth{schema=...}`);
-    /// the unlabeled `serve.queue.depth` gauge is still set for
-    /// compatibility with existing dashboards.
+    /// Per-shard labeled depth gauge (`serve.queue.depth{shard=...}`).
     depth_gauge: Option<Arc<sqlgen_obs::Gauge>>,
 }
 
@@ -52,10 +51,10 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// A queue whose depth is also tracked per-schema in the labeled
+    /// A queue whose depth is also tracked per shard in the labeled
     /// `serve.queue.depth` family.
-    pub fn named(cap: usize, schema: &str) -> Self {
-        let labels = sqlgen_obs::Labels::new().with("schema", schema);
+    pub fn named(cap: usize, shard: &str) -> Self {
+        let labels = sqlgen_obs::Labels::new().with("shard", shard);
         let gauge = sqlgen_obs::metrics::global().gauge_with("serve.queue.depth", &labels);
         BoundedQueue {
             depth_gauge: Some(gauge),
@@ -64,7 +63,6 @@ impl<T> BoundedQueue<T> {
     }
 
     fn set_depth(&self, depth: usize) {
-        sqlgen_obs::obs_gauge!("serve.queue.depth", depth as f64);
         if let Some(g) = &self.depth_gauge {
             g.set(depth as f64);
         }
@@ -117,7 +115,7 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Non-blocking pop — the batcher's gather loop uses this to top up a
+    /// Non-blocking pop — the shard worker's gather loop uses this to top up a
     /// window without waiting once the first request is in hand.
     pub fn try_pop(&self) -> Option<T> {
         let mut inner = self.inner.lock().expect("queue lock");

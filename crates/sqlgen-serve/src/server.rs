@@ -1,55 +1,53 @@
-//! The HTTP server: bounded thread pool, routing, admission control and
-//! graceful shutdown.
+//! The HTTP server: config, routing, `/generate` admission and graceful
+//! shutdown.
 //!
-//! Thread layout (all std threads, no async runtime):
+//! Thread layout (all std threads, no async runtime; Linux only — see
+//! `event_loop.rs` for the transport):
 //!
 //! ```text
-//! accept thread ──channel──► N http workers ──queue──► 1 batcher/schema
-//!      │                         │                          │
-//!  nonblocking              read_request               run_window on
-//!  listener +               route, respond             `batch` lanes
-//!  shutdown flag            (blocks on reply)
+//! acceptor ──► N event loops ──ShardPool::try_push──► M shard workers
+//!                  │                                        │
+//!          parse, route, cache                  gather a window,
+//!          hits answered in place;              run_window on `batch`
+//!          429 full / 503 closed                lanes, reply by mailbox
 //! ```
 //!
 //! Shutdown (`ServerHandle::shutdown`) drains rather than aborts: the
-//! listener stops accepting, `/healthz` flips to 503, every schema queue
-//! closes (new `/generate` → 503) while already-admitted tasks run to
+//! listener stops accepting, `/healthz` flips to 503, the shard queues
+//! close (new `/generate` → 503) while already-admitted tasks run to
 //! completion, and in-flight HTTP exchanges finish with
 //! `Connection: close`.
 
-use crate::batcher::{
-    batch_loop, BatcherConfig, GenRequest, GenTask, RequestOutcome, Responder, Schema,
-};
+use crate::batcher::{GenRequest, Schema};
 use crate::cache::CacheKey;
-use crate::http::{read_request, write_response, Limits, Response};
+use crate::http::{Limits, Response};
 use crate::queue::PushError;
+use crate::shard::{GenTask, RequestOutcome, Responder, ShardPool};
 use sqlgen_obs::{Labels, RequestTrace, TraceContext, TraceStore, TraceStoreConfig};
-use std::io::BufReader;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Server knobs; the CLI exposes the first four as
-/// `--addr --threads --batch --max-queue`.
+/// `--addr --batch --max-queue --max-wait-ms`.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address; port 0 picks an ephemeral port (see
     /// [`ServerHandle::addr`]).
     pub addr: String,
-    /// HTTP worker threads (connection concurrency).
-    pub threads: usize,
     /// Lockstep GEMM lanes per generation window.
     pub batch: usize,
-    /// Admission queue capacity per schema; beyond it requests get 429.
+    /// Admission queue capacity per shard; beyond it requests get 429.
+    /// The server admits at most `shards × max_queue` tasks in total.
     pub max_queue: usize,
-    /// How long the batcher waits to coalesce a window.
+    /// How long a shard worker waits to coalesce a window.
     pub max_wait_ms: u64,
     /// Episode-count cap per window.
     pub max_batch_jobs: usize,
-    /// Socket read timeout (also the idle keep-alive cap).
+    /// Idle keep-alive and slow-request cap per connection.
     pub read_timeout_ms: u64,
+    /// How long a connection may go without write progress.
     pub write_timeout_ms: u64,
     /// Value of the `Retry-After` header on 429.
     pub retry_after_s: u64,
@@ -60,7 +58,7 @@ pub struct ServeConfig {
     pub trace_capacity: usize,
     /// Percent of ordinary (non-error, non-slow) traces retained.
     pub trace_sample_pct: u64,
-    /// Event-loop threads for the readiness backend (`--event-threads`).
+    /// Event-loop threads (`--event-threads`).
     pub event_threads: usize,
     /// Shard workers behind the consistent-hash router (`--shards`).
     pub shards: usize,
@@ -68,12 +66,8 @@ pub struct ServeConfig {
     pub cache_mb: usize,
     /// Pin shard workers to CPUs round-robin (`--pin-cpus`).
     pub pin_cpus: bool,
-    /// Run the pre-event-loop thread-pool backend (`--legacy-pool`; also
-    /// the fallback on non-Linux hosts, where the epoll layer compiles
-    /// out).
-    pub legacy_pool: bool,
-    /// Kernel send-buffer cap per connection (event backend); `None`
-    /// keeps the OS default. Tests shrink it to force partial writes.
+    /// Kernel send-buffer cap per connection; `None` keeps the OS
+    /// default. Tests shrink it to force partial writes.
     pub sndbuf: Option<usize>,
 }
 
@@ -81,7 +75,6 @@ impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
             addr: "127.0.0.1:8080".to_string(),
-            threads: 4,
             batch: 8,
             max_queue: 64,
             max_wait_ms: 5,
@@ -97,7 +90,6 @@ impl Default for ServeConfig {
             shards: 1,
             cache_mb: 64,
             pin_cpus: false,
-            legacy_pool: false,
             sndbuf: None,
         }
     }
@@ -105,22 +97,33 @@ impl Default for ServeConfig {
 
 pub(crate) struct ServerState {
     pub(crate) schemas: Vec<Arc<Schema>>,
+    /// The shard queues every `/generate` is admitted through.
+    pub(crate) pool: ShardPool,
     pub(crate) draining: AtomicBool,
     pub(crate) config: ServeConfig,
     /// Tail-sampled ring of completed request traces (`/debug/traces`).
     pub(crate) traces: Arc<TraceStore>,
 }
 
-/// The thread bundle behind a [`ServerHandle`]: blocking worker pool or
-/// epoll event loops + shard workers.
-pub(crate) enum Backend {
-    Legacy {
-        accept: JoinHandle<()>,
-        http_workers: Vec<JoinHandle<()>>,
-        batchers: Vec<JoinHandle<()>>,
-    },
-    #[cfg(target_os = "linux")]
-    Event(crate::event_loop::EventBackend),
+impl ServerState {
+    fn new(config: ServeConfig, schemas: Vec<Schema>) -> ServerState {
+        let traces = Arc::new(TraceStore::new(TraceStoreConfig {
+            capacity: config.trace_capacity.max(1),
+            sample_pct: config.trace_sample_pct,
+            ..TraceStoreConfig::default()
+        }));
+        let schemas: Vec<Arc<Schema>> = schemas.into_iter().map(Arc::new).collect();
+        for schema in &schemas {
+            schema.cache.set_budget(config.cache_mb * 1024 * 1024);
+        }
+        ServerState {
+            schemas,
+            pool: ShardPool::new(config.shards.max(1), config.max_queue),
+            draining: AtomicBool::new(false),
+            config,
+            traces,
+        }
+    }
 }
 
 /// A running server. Dropping the handle leaks the threads; call
@@ -128,8 +131,8 @@ pub(crate) enum Backend {
 pub struct ServerHandle {
     addr: SocketAddr,
     state: Arc<ServerState>,
-    accept_stop: Arc<AtomicBool>,
-    backend: Backend,
+    #[cfg(target_os = "linux")]
+    backend: crate::event_loop::EventBackend,
 }
 
 impl ServerHandle {
@@ -143,31 +146,12 @@ impl ServerHandle {
         self.state.schemas.iter().find(|s| s.name == name).cloned()
     }
 
-    /// Total admitted-but-unstarted tasks (bench queue-depth sampling):
-    /// shard queues on the event backend, per-schema queues on the pool.
-    pub fn queue_depth(&self) -> usize {
-        match &self.backend {
-            Backend::Legacy { .. } => self.state.schemas.iter().map(|s| s.queue.len()).sum(),
-            #[cfg(target_os = "linux")]
-            Backend::Event(ev) => ev.pool.depth(),
-        }
-    }
-
-    /// Owned queue-depth sampler: a closure the bench can move into a
-    /// monitoring thread while the handle itself stays on the driver
-    /// thread. Same accounting as [`ServerHandle::queue_depth`].
+    /// Owned sampler of admitted-but-unstarted tasks across the shard
+    /// queues: a closure the bench can move into a monitoring thread while
+    /// the handle itself stays on the driver thread.
     pub fn depth_probe(&self) -> Box<dyn Fn() -> usize + Send + Sync> {
-        match &self.backend {
-            Backend::Legacy { .. } => {
-                let state = self.state.clone();
-                Box::new(move || state.schemas.iter().map(|s| s.queue.len()).sum())
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Event(ev) => {
-                let pool = ev.pool.clone();
-                Box::new(move || pool.depth())
-            }
-        }
+        let state = self.state.clone();
+        Box::new(move || state.pool.depth())
     }
 
     /// `(hits, misses, evictions)` summed over every schema's result
@@ -185,192 +169,47 @@ impl ServerHandle {
     /// threads.
     pub fn shutdown(self) {
         self.state.draining.store(true, Ordering::SeqCst);
-        self.accept_stop.store(true, Ordering::SeqCst);
-        match self.backend {
-            Backend::Legacy {
-                accept,
-                http_workers,
-                batchers,
-            } => {
-                for schema in &self.state.schemas {
-                    schema.queue.close();
-                }
-                let _ = accept.join();
-                for w in http_workers {
-                    let _ = w.join();
-                }
-                for b in batchers {
-                    let _ = b.join();
-                }
-            }
-            #[cfg(target_os = "linux")]
-            Backend::Event(ev) => ev.shutdown(),
-        }
+        #[cfg(target_os = "linux")]
+        self.backend.shutdown(&self.state.pool);
     }
 }
 
-/// Binds, spawns the thread pool and batchers, and returns immediately.
+/// Binds, spawns the acceptor, event loops and shard workers, and returns
+/// immediately.
+#[cfg(target_os = "linux")]
 pub fn serve(config: ServeConfig, schemas: Vec<Schema>) -> std::io::Result<ServerHandle> {
     assert!(!schemas.is_empty(), "serve() needs at least one schema");
-    let listener = TcpListener::bind(&config.addr)?;
+    let listener = std::net::TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
     listener.set_nonblocking(true)?;
-
-    let traces = Arc::new(TraceStore::new(TraceStoreConfig {
-        capacity: config.trace_capacity.max(1),
-        sample_pct: config.trace_sample_pct,
-        ..TraceStoreConfig::default()
-    }));
-    let state = Arc::new(ServerState {
-        schemas: schemas.into_iter().map(Arc::new).collect(),
-        draining: AtomicBool::new(false),
-        config,
-        traces,
-    });
-    for schema in &state.schemas {
-        schema.cache.set_budget(state.config.cache_mb * 1024 * 1024);
-    }
-
-    let accept_stop = Arc::new(AtomicBool::new(false));
-
-    #[cfg(target_os = "linux")]
-    if !state.config.legacy_pool {
-        let backend = crate::event_loop::start(listener, state.clone(), accept_stop.clone())?;
-        sqlgen_obs::obs_info!(
-            "[serve] listening on {addr} (event backend: {} loops, {} shards, cache {} MiB, {} schemas)",
-            state.config.event_threads.max(1),
-            state.config.shards.max(1),
-            state.config.cache_mb,
-            state.schemas.len()
-        );
-        return Ok(ServerHandle {
-            addr,
-            state,
-            accept_stop,
-            backend: Backend::Event(backend),
-        });
-    }
-
-    let (conn_tx, conn_rx) = mpsc::channel::<TcpStream>();
-    let conn_rx = Arc::new(Mutex::new(conn_rx));
-
-    let stop = accept_stop.clone();
-    let accept = std::thread::spawn(move || {
-        // conn_tx lives here: when this thread exits, workers see the
-        // channel disconnect and wind down.
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    if conn_tx.send(stream).is_err() {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(e) => {
-                    sqlgen_obs::obs_warn!("[serve] accept error: {e}");
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-            }
-        }
-    });
-
-    let mut http_workers = Vec::new();
-    for _ in 0..state.config.threads.max(1) {
-        let state = state.clone();
-        let rx = conn_rx.clone();
-        http_workers.push(std::thread::spawn(move || loop {
-            let next = rx.lock().expect("conn receiver").recv();
-            match next {
-                Ok(stream) => handle_connection(&state, stream),
-                Err(_) => return, // accept thread gone and channel drained
-            }
-        }));
-    }
-
-    let mut batchers = Vec::new();
-    for schema in &state.schemas {
-        let schema = schema.clone();
-        let cfg = BatcherConfig {
-            lanes: state.config.batch.max(1),
-            max_wait: Duration::from_millis(state.config.max_wait_ms),
-            max_batch_jobs: state.config.max_batch_jobs.max(1),
-        };
-        batchers.push(std::thread::spawn(move || batch_loop(&schema, &cfg)));
-    }
-
+    let state = Arc::new(ServerState::new(config, schemas));
+    let backend = crate::event_loop::start(listener, state.clone())?;
     sqlgen_obs::obs_info!(
-        "[serve] listening on {addr} ({} schemas, {} http workers, batch {})",
-        state.schemas.len(),
-        state.config.threads.max(1),
-        state.config.batch.max(1)
+        "[serve] listening on {addr} ({} event loops, {} shards, batch {}, cache {} MiB, {} schemas)",
+        state.config.event_threads.max(1),
+        state.pool.len(),
+        state.config.batch.max(1),
+        state.config.cache_mb,
+        state.schemas.len()
     );
     Ok(ServerHandle {
         addr,
         state,
-        accept_stop,
-        backend: Backend::Legacy {
-            accept,
-            http_workers,
-            batchers,
-        },
+        backend,
     })
 }
 
-fn handle_connection(state: &ServerState, stream: TcpStream) {
-    let cfg = &state.config;
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(cfg.read_timeout_ms.max(1))));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(cfg.write_timeout_ms.max(1))));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
-    let mut writer = stream;
-    loop {
-        match read_request(&mut reader, &cfg.limits) {
-            Ok(req) => {
-                let started = Instant::now();
-                let endpoint = endpoint_label(&req.path);
-                // Trace identity: inbound traceparent/X-Request-Id when
-                // valid, fresh otherwise; echoed on every response. Only
-                // `/generate` builds (and offers) a full span tree — scrape
-                // endpoints would flood the ring with trivial traces.
-                let ctx = TraceContext::from_headers(
-                    req.traceparent.as_deref(),
-                    req.request_id.as_deref(),
-                );
-                let trace = (endpoint == "generate").then(|| RequestTrace::begin(ctx, endpoint));
-                let resp = route(
-                    state,
-                    req.method.as_str(),
-                    &req.path,
-                    &req.body,
-                    trace.as_ref(),
-                );
-                let resp = finalize_response(state, endpoint, started, ctx, trace, resp);
-                // During a drain every response closes its connection so
-                // the worker pool can wind down.
-                let keep_alive = req.keep_alive && !state.draining.load(Ordering::SeqCst);
-                if write_response(&mut writer, &resp, keep_alive).is_err() || !keep_alive {
-                    return;
-                }
-            }
-            Err(e) => {
-                if let Some(status) = e.status() {
-                    let _ =
-                        write_response(&mut writer, &Response::error(status, e.detail()), false);
-                }
-                return;
-            }
-        }
-    }
+/// Serving runs on the epoll event loops, which exist only on Linux.
+#[cfg(not(target_os = "linux"))]
+pub fn serve(_config: ServeConfig, _schemas: Vec<Schema>) -> std::io::Result<ServerHandle> {
+    Err(std::io::Error::new(
+        std::io::ErrorKind::Unsupported,
+        "sqlgen-serve needs Linux (epoll event loops)",
+    ))
 }
 
 /// Trace-header echo, trace offer, and per-endpoint request metrics —
-/// everything a response needs on its way out, shared by the blocking
-/// worker path and the event loop.
+/// everything a response needs on its way out.
 pub(crate) fn finalize_response(
     state: &ServerState,
     endpoint: &'static str,
@@ -416,13 +255,9 @@ pub(crate) fn endpoint_label(path: &str) -> &'static str {
     }
 }
 
-pub(crate) fn route(
-    state: &ServerState,
-    method: &str,
-    path: &str,
-    body: &[u8],
-    trace: Option<&Arc<RequestTrace>>,
-) -> Response {
+/// Answers every endpoint except `POST /generate`, which the event loop
+/// hands to [`admit_generate`] instead.
+pub(crate) fn route(state: &ServerState, method: &str, path: &str) -> Response {
     let path = path.split('?').next().unwrap_or("");
     match (method, path) {
         ("GET", "/healthz") => {
@@ -454,7 +289,6 @@ pub(crate) fn route(
             }
         }
         ("POST", "/models/reload") => reload(state),
-        ("POST", "/generate") => generate(state, body, trace),
         (_, "/healthz" | "/metrics" | "/models" | "/models/reload" | "/generate") => {
             Response::error(405, "method not allowed")
         }
@@ -485,19 +319,23 @@ fn models_json(state: &ServerState) -> String {
             let m = s.registry.current();
             let (hits, misses, evictions) = s.cache.stats();
             format!(
-                r#"{{"name":{},"model":{},"version":{},"quantized":{},"queue_depth":{},"queue_capacity":{},"cache":{{"entries":{},"bytes":{},"hits":{hits},"misses":{misses},"evictions":{evictions}}}}}"#,
+                r#"{{"name":{},"model":{},"version":{},"quantized":{},"cache":{{"entries":{},"bytes":{},"hits":{hits},"misses":{misses},"evictions":{evictions}}}}}"#,
                 json_str(&s.name),
                 json_str(&m.label),
                 m.version,
                 m.quant.is_some(),
-                s.queue.len(),
-                s.queue.capacity(),
                 s.cache.len(),
                 s.cache.bytes()
             )
         })
         .collect();
-    format!(r#"{{"schemas":[{}]}}"#, entries.join(","))
+    format!(
+        r#"{{"queue":{{"shards":{},"depth":{},"capacity":{}}},"schemas":[{}]}}"#,
+        state.pool.len(),
+        state.pool.depth(),
+        state.pool.capacity(),
+        entries.join(",")
+    )
 }
 
 fn reload(state: &ServerState) -> Response {
@@ -530,13 +368,34 @@ fn reload(state: &ServerState) -> Response {
     Response::json(200, format!(r#"{{"schemas":[{}]}}"#, entries.join(",")))
 }
 
-fn generate(state: &ServerState, body: &[u8], trace: Option<&Arc<RequestTrace>>) -> Response {
+/// What `/generate` admission decided: answer now, or wait for the shard
+/// worker's reply.
+pub(crate) enum Admission {
+    Respond(Response),
+    Queued {
+        req: GenRequest,
+        schema: Arc<Schema>,
+        /// When the connection stops waiting and answers 504 itself.
+        reply_deadline: Instant,
+    },
+}
+
+/// `/generate` up to admission: parse the body, resolve the schema, answer
+/// a cache hit in place, otherwise push a task that replies through
+/// `reply` onto the routed shard queue — 429 with `Retry-After` when that
+/// queue is full, 503 once the pool is closed.
+pub(crate) fn admit_generate(
+    state: &ServerState,
+    body: &[u8],
+    trace: Option<&Arc<RequestTrace>>,
+    reply: Responder,
+) -> Admission {
     let Ok(text) = std::str::from_utf8(body) else {
-        return Response::error(400, "body is not utf-8");
+        return Admission::Respond(Response::error(400, "body is not utf-8"));
     };
     let req = match GenRequest::from_json(text) {
         Ok(req) => req,
-        Err(e) => return Response::error(400, &e),
+        Err(e) => return Admission::Respond(Response::error(400, &e)),
     };
     if let Some(tr) = trace {
         tr.annotate_num("n", req.n as f64);
@@ -547,72 +406,52 @@ fn generate(state: &ServerState, body: &[u8], trace: Option<&Arc<RequestTrace>>)
     } else {
         state.schemas.iter().find(|s| s.name == req.schema).cloned()
     }) else {
-        return Response::error(404, &format!("unknown schema {:?}", req.schema));
+        let msg = format!("unknown schema {:?}", req.schema);
+        return Admission::Respond(Response::error(404, &msg));
     };
 
     // Responses are pure functions of (model-version, schema, seed,
     // constraint, n), so a cached body is the same bytes a fresh rollout
-    // would produce.
+    // would produce — answered without touching a queue.
     let key = CacheKey::for_request(&req, schema.registry.current().version);
     if let Some(body) = schema.cache.get(&key) {
         if let Some(tr) = trace {
             tr.annotate_str("cache", "hit");
         }
-        return Response::json(200, body.as_ref().clone());
+        return Admission::Respond(Response::json(200, body.as_ref().clone()));
     }
     if let Some(tr) = trace {
         tr.annotate_str("cache", "miss");
     }
 
     let now = Instant::now();
+    let cfg = &state.config;
     // `timeout_ms: 0` is honoured as an already-expired deadline — useful
     // for probing the expiry path deterministically.
-    let timeout = Duration::from_millis(req.timeout_ms.unwrap_or(state.config.default_timeout_ms));
+    let timeout = Duration::from_millis(req.timeout_ms.unwrap_or(cfg.default_timeout_ms));
     let deadline = now + timeout;
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
     let task = GenTask {
         req: req.clone(),
         deadline: Some(deadline),
         enqueued: now,
-        reply: Responder::Channel(reply_tx),
+        reply,
         trace: trace.cloned(),
     };
-    match schema.queue.try_push(task) {
-        Err((PushError::Full, _)) => {
-            return Response::error(429, "queue full; retry later")
-                .with_header("retry-after", state.config.retry_after_s.to_string());
-        }
+    match state.pool.try_push(&schema, task) {
+        Err((PushError::Full, _)) => Admission::Respond(
+            Response::error(429, "queue full; retry later")
+                .with_header("retry-after", cfg.retry_after_s.to_string()),
+        ),
         Err((PushError::Closed, _)) => {
-            return Response::error(503, "server is shutting down");
+            Admission::Respond(Response::error(503, "server is shutting down"))
         }
-        Ok(()) => {}
-    }
-    // The batcher aborts expired lanes at `deadline`; the grace term covers
-    // window gather time plus the final lockstep iteration.
-    let grace = Duration::from_millis(state.config.max_wait_ms + 2_000);
-    match reply_rx.recv_timeout(timeout + grace) {
-        Ok(out) => {
-            if out.queries.is_empty() && out.expired > 0 {
-                sqlgen_obs::obs_count!("serve.timeout.count");
-                return Response::error(504, "deadline expired before any query finished");
-            }
-            let body = outcome_json(&schema.name, &req, &out);
-            // Only fully-finished responses are pure functions of the key
-            // (expiry depends on wall clock); key on the version that
-            // actually ran, which can differ from the admission-time
-            // version across a hot swap.
-            if out.expired == 0 {
-                schema.cache.put(
-                    CacheKey::for_request(&req, out.model_version),
-                    Arc::new(body.clone()),
-                );
-            }
-            Response::json(200, body)
-        }
-        Err(_) => {
-            sqlgen_obs::obs_count!("serve.timeout.count");
-            Response::error(504, "generation did not finish before the deadline")
-        }
+        // The lanes abort at `deadline`; the grace term covers window
+        // gather time plus the final lockstep iteration.
+        Ok(()) => Admission::Queued {
+            req,
+            schema,
+            reply_deadline: deadline + Duration::from_millis(cfg.max_wait_ms + 2_000),
+        },
     }
 }
 
@@ -657,136 +496,127 @@ fn json_num(v: f64) -> String {
     }
 }
 
-// Route-level tests drive `route()` directly (no sockets, no batcher), so
-// the admission responses are deterministic: the queue is exactly as full
-// as the test made it.
+// Route and admission tests run on a `ServerState` whose shard workers
+// were never spawned, so admission is deterministic: the shard queue is
+// exactly as full as the test made it.
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batcher::ServedQuery;
+    use crate::shard::{RecordingMailbox, ServedQuery};
     use sqlgen_core::{Constraint, GenConfig};
     use sqlgen_storage::gen::tpch_database;
 
-    fn test_state(queue_cap: usize) -> ServerState {
+    fn test_state(shards: usize, max_queue: usize) -> ServerState {
         let db = tpch_database(0.05, 2);
         let config = GenConfig::fast().with_seed(11);
-        let schema = Schema::build("tpch", &db, &config, None, queue_cap);
-        ServerState {
-            schemas: vec![Arc::new(schema)],
-            draining: AtomicBool::new(false),
-            config: ServeConfig::default(),
-            traces: Arc::new(TraceStore::new(TraceStoreConfig::default())),
+        let schema = Schema::build("tpch", &db, &config, None, max_queue);
+        let config = ServeConfig {
+            shards,
+            max_queue,
+            ..ServeConfig::default()
+        };
+        ServerState::new(config, vec![schema])
+    }
+
+    fn admit(state: &ServerState, body: &[u8]) -> Admission {
+        let reply = Responder {
+            mailbox: Arc::new(RecordingMailbox::default()),
+            token: 0,
+            req_gen: 0,
+        };
+        admit_generate(state, body, None, reply)
+    }
+
+    fn response(admission: Admission) -> Response {
+        match admission {
+            Admission::Respond(resp) => resp,
+            Admission::Queued { req, .. } => panic!("unexpectedly admitted {req:?}"),
         }
     }
 
-    fn fill_queue(state: &ServerState) -> mpsc::Receiver<RequestOutcome> {
-        let schema = &state.schemas[0];
-        let (tx, rx) = mpsc::sync_channel(state.config.max_queue);
-        while schema.queue.len() < schema.queue.capacity() {
-            schema
-                .queue
-                .try_push(GenTask {
-                    req: GenRequest {
-                        schema: String::new(),
-                        constraint: Constraint::cardinality_point(10.0),
-                        n: 1,
-                        seed: 0,
-                        timeout_ms: None,
-                    },
-                    deadline: None,
-                    enqueued: Instant::now(),
-                    reply: Responder::Channel(tx.clone()),
-                    trace: None,
-                })
-                .map_err(|(e, _)| e)
-                .unwrap();
-        }
-        rx
+    fn point_request(seed: u64) -> Vec<u8> {
+        format!(r#"{{"constraint":{{"point":1}},"seed":{seed}}}"#).into_bytes()
     }
 
     #[test]
     fn unknown_paths_and_methods_get_404_and_405() {
-        let state = test_state(4);
-        assert_eq!(route(&state, "GET", "/nope", b"", None).status, 404);
-        assert_eq!(route(&state, "DELETE", "/generate", b"", None).status, 405);
-        assert_eq!(route(&state, "POST", "/healthz", b"", None).status, 405);
+        let state = test_state(1, 4);
+        assert_eq!(route(&state, "GET", "/nope").status, 404);
+        assert_eq!(route(&state, "DELETE", "/generate").status, 405);
+        assert_eq!(route(&state, "POST", "/healthz").status, 405);
     }
 
     #[test]
     fn healthz_flips_to_503_while_draining() {
-        let state = test_state(4);
-        assert_eq!(route(&state, "GET", "/healthz", b"", None).status, 200);
+        let state = test_state(1, 4);
+        assert_eq!(route(&state, "GET", "/healthz").status, 200);
         state.draining.store(true, Ordering::SeqCst);
-        let resp = route(&state, "GET", "/healthz", b"", None);
+        let resp = route(&state, "GET", "/healthz");
         assert_eq!(resp.status, 503);
         assert!(resp.body.contains("draining"));
     }
 
     #[test]
     fn generate_validates_body_and_schema() {
-        let state = test_state(4);
-        assert_eq!(
-            route(&state, "POST", "/generate", b"not json", None).status,
-            400
-        );
-        assert_eq!(
-            route(&state, "POST", "/generate", &[0xff, 0xfe], None).status,
-            400
-        );
+        let state = test_state(1, 4);
+        assert_eq!(response(admit(&state, b"not json")).status, 400);
+        assert_eq!(response(admit(&state, &[0xff, 0xfe])).status, 400);
         let unknown = br#"{"schema":"nope","constraint":{"point":1}}"#;
-        assert_eq!(
-            route(&state, "POST", "/generate", unknown, None).status,
-            404
-        );
+        assert_eq!(response(admit(&state, unknown)).status, 404);
+        assert_eq!(state.pool.depth(), 0);
     }
 
     #[test]
-    fn full_queue_gets_429_with_retry_after() {
-        let state = test_state(2);
-        let _rx = fill_queue(&state);
-        let resp = route(
-            &state,
-            "POST",
-            "/generate",
-            br#"{"constraint":{"point":1}}"#,
-            None,
-        );
+    fn full_shard_queue_gets_429_with_retry_after() {
+        let state = test_state(1, 2);
+        for seed in 0..2 {
+            assert!(matches!(
+                admit(&state, &point_request(seed)),
+                Admission::Queued { .. }
+            ));
+        }
+        assert_eq!(state.pool.depth(), 2);
+        let resp = response(admit(&state, &point_request(2)));
         assert_eq!(resp.status, 429);
         assert!(resp
             .headers
             .iter()
             .any(|(name, value)| name == "retry-after" && value == "1"));
+        assert_eq!(state.pool.depth(), 2);
     }
 
     #[test]
-    fn closed_queue_gets_503() {
-        let state = test_state(4);
-        state.schemas[0].queue.close();
-        let resp = route(
-            &state,
-            "POST",
-            "/generate",
-            br#"{"constraint":{"point":1}}"#,
-            None,
-        );
-        assert_eq!(resp.status, 503);
+    fn closed_pool_gets_503() {
+        let state = test_state(1, 4);
+        assert!(matches!(
+            admit(&state, &point_request(0)),
+            Admission::Queued { .. }
+        ));
+        state.pool.close();
+        assert_eq!(response(admit(&state, &point_request(1))).status, 503);
+        assert_eq!(state.pool.depth(), 1, "queued work stays for the drain");
     }
 
     #[test]
     fn models_and_metrics_render() {
-        let state = test_state(4);
-        let models = route(&state, "GET", "/models", b"", None);
+        let state = test_state(2, 8);
+        assert!(matches!(
+            admit(&state, &point_request(0)),
+            Admission::Queued { .. }
+        ));
+        let models = route(&state, "GET", "/models");
         assert_eq!(models.status, 200);
         let v = serde_json::from_str::<serde_json::Value>(&models.body).unwrap();
         let entry = &v.get("schemas").unwrap().as_array().unwrap()[0];
         assert_eq!(entry.get("name").unwrap().as_str(), Some("tpch"));
         assert_eq!(entry.get("model").unwrap().as_str(), Some("builtin"));
         assert_eq!(entry.get("quantized").unwrap().as_bool(), Some(false));
-        assert_eq!(route(&state, "GET", "/metrics", b"", None).status, 200);
-        assert_eq!(
-            route(&state, "POST", "/models/reload", b"", None).status,
-            200
-        );
+        let queue = v.get("queue").unwrap();
+        assert_eq!(queue.get("shards").unwrap().as_u64(), Some(2));
+        assert_eq!(queue.get("depth").unwrap().as_u64(), Some(1));
+        assert_eq!(queue.get("capacity").unwrap().as_u64(), Some(16));
+        assert_eq!(route(&state, "GET", "/metrics").status, 200);
+        assert_eq!(route(&state, "POST", "/models/reload").status, 200);
     }
 
     #[test]

@@ -1,11 +1,19 @@
-//! Sharded generation workers behind the event loop.
+//! Admission and gather: sharded generation workers behind the event loop.
 //!
-//! The legacy pool runs one batcher thread per schema, so co-tenant
-//! schemas all contend on their own single thread and a hot schema cannot
-//! scale past it. The shard pool decouples workers from schemas: `N`
-//! identical workers each own a bounded queue, and a consistent-hash ring
-//! over `(schema, model-version)` routes every request to one shard. The
-//! ring gives two properties the north-star multi-tenant deployment needs:
+//! The flow is `shard queue → window → lanes → reply`:
+//!
+//! 1. The event loop pushes a [`GenTask`] onto the shard queue the ring
+//!    routes it to ([`ShardPool::try_push`]); a full queue is a 429, a
+//!    closed one a 503.
+//! 2. The shard worker ([`shard_loop`]) gathers a window, groups it by
+//!    schema and runs each group through [`run_window_tasks_with_model`]:
+//!    trace-span tiling, [`crate::batcher::run_window`] on `lanes` lockstep
+//!    lanes, and one [`Responder::send`] per task.
+//!
+//! Workers are decoupled from schemas: `N` identical workers each own a
+//! bounded queue, and a consistent-hash ring over `(schema, model-version)`
+//! routes every request to one shard. The ring gives two properties the
+//! north-star multi-tenant deployment needs:
 //!
 //! * **Stability** — a `(schema, version)` pair always lands on the same
 //!   shard, so its requests coalesce into shared windows instead of
@@ -20,15 +28,80 @@
 //! multi-core hosts. Purity makes all of this invisible in responses:
 //! which shard (or window) runs a request cannot change its bytes.
 
-use crate::batcher::{run_window_tasks_with_model, BatcherConfig, GenTask, Schema};
+use crate::batcher::{run_window, GenRequest, Schema, WindowRequest};
 use crate::queue::{BoundedQueue, PushError};
 use crate::registry::ServedModel;
+use sqlgen_engine::render;
+use sqlgen_obs::trace::ROOT_SPAN;
+use sqlgen_obs::{Labels, RequestTrace, TraceHandle};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Virtual nodes per shard on the hash ring.
 const VNODES: usize = 40;
+
+/// One generated query in a response.
+#[derive(Debug, Clone)]
+pub struct ServedQuery {
+    pub sql: String,
+    pub measured: f64,
+    pub satisfied: bool,
+}
+
+/// What a shard worker sends back for one task.
+#[derive(Debug, Clone)]
+pub struct RequestOutcome {
+    pub queries: Vec<ServedQuery>,
+    /// Episodes aborted by the request deadline (so `queries.len() +
+    /// expired == n`).
+    pub expired: usize,
+    pub model_label: String,
+    pub model_version: u64,
+}
+
+/// Receives finished outcomes for the connections of one event loop; the
+/// loop's completion mailbox implements it.
+pub(crate) trait Mailbox: Send + Sync {
+    fn deliver(&self, token: usize, req_gen: u64, outcome: RequestOutcome);
+}
+
+/// Where a finished [`RequestOutcome`] goes: the owning event loop's
+/// mailbox, addressed by connection slot. `req_gen` guards against slot
+/// reuse — the loop drops a completion for a connection that timed out or
+/// closed, never writing it to a stranger. Delivery never blocks.
+pub struct Responder {
+    pub(crate) mailbox: Arc<dyn Mailbox>,
+    pub(crate) token: usize,
+    pub(crate) req_gen: u64,
+}
+
+impl Responder {
+    pub fn send(&self, outcome: RequestOutcome) {
+        self.mailbox.deliver(self.token, self.req_gen, outcome);
+    }
+}
+
+/// A request travelling through a shard queue.
+pub struct GenTask {
+    pub req: GenRequest,
+    pub deadline: Option<Instant>,
+    pub enqueued: Instant,
+    pub reply: Responder,
+    /// Request trace the shard worker attributes `queue_wait` /
+    /// `batch_gather` / `lane_exec` spans to (opened by the HTTP layer,
+    /// `None` untraced).
+    pub trace: Option<Arc<RequestTrace>>,
+}
+
+/// Window knobs; `lanes` is the GEMM batch width, `max_wait` the window
+/// gather deadline, `max_batch_jobs` the episode-count cap per window.
+#[derive(Debug, Clone)]
+pub struct WindowConfig {
+    pub lanes: usize,
+    pub max_wait: Duration,
+    pub max_batch_jobs: usize,
+}
 
 /// A task routed to a shard: the shard worker needs the schema bundle
 /// alongside the request because one shard serves many schemas.
@@ -66,7 +139,7 @@ impl ShardPool {
         let shards: Vec<Arc<Shard>> = (0..n)
             .map(|i| {
                 Arc::new(Shard {
-                    queue: BoundedQueue::named(queue_cap, &format!("shard{i}")),
+                    queue: BoundedQueue::named(queue_cap, &i.to_string()),
                 })
             })
             .collect();
@@ -125,7 +198,7 @@ impl ShardPool {
     /// Spawns the worker threads. With `pin_cpus`, worker `i` pins to CPU
     /// `i % available_parallelism` — failure is a warning, not an error
     /// (cgroup masks can forbid it).
-    pub fn spawn_workers(&self, cfg: &BatcherConfig, pin_cpus: bool) -> Vec<JoinHandle<()>> {
+    pub fn spawn_workers(&self, cfg: &WindowConfig, pin_cpus: bool) -> Vec<JoinHandle<()>> {
         let ncpus = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -158,6 +231,11 @@ impl ShardPool {
         self.shards.iter().map(|s| s.queue.len()).sum()
     }
 
+    /// Total admission capacity: shards × per-shard `max_queue`.
+    pub fn capacity(&self) -> usize {
+        self.shards.iter().map(|s| s.queue.capacity()).sum()
+    }
+
     /// Stops admission on every shard; queued work still drains.
     pub fn close(&self) {
         for s in &self.shards {
@@ -166,17 +244,6 @@ impl ShardPool {
     }
 }
 
-/// Shard worker body: gather a window, group the gathered tasks by schema
-/// preserving arrival order, and run one window per schema group. Runs
-/// until the shard's queue is closed and drained.
-///
-/// Gather policy: drain whatever is already queued without waiting, and
-/// keep waiting (bounded by `max_wait`) only while the window holds fewer
-/// jobs than one GEMM lane width. Closed-loop bursts arrive together and
-/// fill the window on the first drain, so they never pay the wait; smooth
-/// open-loop arrivals would otherwise each get a private window and pay
-/// the full per-window fixed cost (env + lane-state setup), capping
-/// throughput far below the batched capacity.
 /// Shard-local model snapshots: one `(schema, generation, model)` entry
 /// per schema this worker has served. Between windows the worker refreshes
 /// the registry (disk scan, between windows only — never mid-window) and
@@ -196,8 +263,8 @@ impl ModelCache {
     }
 
     /// The model the next window on `schema` should run. Refreshes the
-    /// registry from disk first (a successful swap invalidates the result
-    /// cache, exactly as `run_window_tasks` does on the legacy path).
+    /// registry from disk first; a successful swap invalidates the result
+    /// cache.
     fn model_for(&mut self, schema: &Arc<Schema>) -> Arc<ServedModel> {
         if let Ok(true) = schema.registry.refresh() {
             schema.cache.clear();
@@ -225,7 +292,19 @@ impl ModelCache {
     }
 }
 
-fn shard_loop(shard: &Shard, cfg: &BatcherConfig) {
+/// Shard worker body: gather a window, group the gathered tasks by schema
+/// preserving arrival order, and run one window per schema group. Runs
+/// until the shard's queue is closed and drained; every admitted task gets
+/// exactly one reply.
+///
+/// Gather policy: drain whatever is already queued without waiting, and
+/// keep waiting (bounded by `max_wait`) only while the window holds fewer
+/// jobs than one GEMM lane width. Closed-loop bursts arrive together and
+/// fill the window on the first drain, so they never pay the wait; smooth
+/// open-loop arrivals would otherwise each get a private window and pay
+/// the full per-window fixed cost (env + lane-state setup), capping
+/// throughput far below the batched capacity.
+fn shard_loop(shard: &Shard, cfg: &WindowConfig) {
     let mut models = ModelCache::new();
     loop {
         let Some(first) = shard.queue.pop_timeout(Duration::from_millis(50)) else {
@@ -275,6 +354,138 @@ fn shard_loop(shard: &Shard, cfg: &BatcherConfig) {
             let model = models.model_for(&schema);
             run_window_tasks_with_model(&schema, &model, tasks, cfg);
         }
+    }
+}
+
+/// Executes one gathered window with the model snapshot chosen by the
+/// caller: trace-span tiling, [`run_window`], and replies. The shard loop
+/// resolves `model` once per `(schema, registry generation)` and reuses
+/// the `Arc` across windows, so steady-state windows skip the registry
+/// `RwLock` entirely.
+pub fn run_window_tasks_with_model(
+    schema: &Schema,
+    model: &Arc<ServedModel>,
+    tasks: Vec<(GenTask, Instant)>,
+    cfg: &WindowConfig,
+) {
+    let job_count: usize = tasks.iter().map(|(t, _)| t.req.n).sum();
+    // One labeled series per (schema, batch_width); the lookup is a map
+    // probe per window, invisible next to the window itself.
+    let phase_labels = Labels::new()
+        .with("schema", &schema.name)
+        .with("batch_width", &cfg.lanes.to_string());
+    let m = sqlgen_obs::metrics::global();
+    let queue_wait_h = m.histogram_with("serve.phase.queue_wait_us", &phase_labels);
+    let gather_h = m.histogram_with("serve.phase.gather_us", &phase_labels);
+    let exec_h = m.histogram_with("serve.phase.exec_us", &phase_labels);
+    let started = Instant::now();
+    let reqs: Vec<WindowRequest> = tasks
+        .iter()
+        .map(|(t, popped)| {
+            queue_wait_h.record_silent((*popped - t.enqueued).as_micros() as f64);
+            gather_h.record_silent((started - *popped).as_micros() as f64);
+            // queue_wait ends where batch_gather starts and batch_gather
+            // ends where lane_exec starts, so the three phases tile the
+            // request wall time without overlap. lane_exec stays open
+            // until the window finishes; per-job `episode` spans parent
+            // under it.
+            let trace = t.trace.as_ref().map(|tr| {
+                tr.span_between("queue_wait", ROOT_SPAN, t.enqueued, *popped);
+                tr.span_between("batch_gather", ROOT_SPAN, *popped, started);
+                let lane = tr.open_span("lane_exec", ROOT_SPAN, started);
+                tr.annotate_str("schema", &schema.name);
+                tr.annotate_str("model", &model.label);
+                tr.annotate_num("model_version", model.version as f64);
+                tr.annotate_num("window_requests", tasks.len() as f64);
+                tr.annotate_num("window_jobs", job_count as f64);
+                tr.annotate_num("batch_width", cfg.lanes as f64);
+                TraceHandle {
+                    trace: tr.clone(),
+                    parent: lane,
+                }
+            });
+            WindowRequest {
+                constraint: t.req.constraint,
+                n: t.req.n,
+                seed: t.req.seed,
+                deadline: t.deadline,
+                trace,
+            }
+        })
+        .collect();
+    sqlgen_obs::obs_record!("serve.batch.requests", tasks.len() as f64);
+    sqlgen_obs::obs_record!("serve.batch.jobs", job_count as f64);
+    for (t, _) in &tasks {
+        sqlgen_obs::obs_record!(
+            "serve.queue.wait_us",
+            (started - t.enqueued).as_micros() as f64
+        );
+    }
+    // Windows run on the int8 snapshot when the registry quantizes.
+    let outcomes = match &model.quant {
+        Some(q) => run_window(
+            q,
+            &schema.vocab,
+            &schema.estimator,
+            &schema.fsm,
+            &reqs,
+            cfg.lanes,
+            Some(&schema.refiner),
+        ),
+        None => run_window(
+            &model.actor,
+            &schema.vocab,
+            &schema.estimator,
+            &schema.fsm,
+            &reqs,
+            cfg.lanes,
+            Some(&schema.refiner),
+        ),
+    };
+    let window_end = Instant::now();
+    sqlgen_obs::obs_record!(
+        "serve.window.latency_us",
+        (window_end - started).as_micros() as f64
+    );
+    for r in &reqs {
+        if let Some(handle) = &r.trace {
+            handle.trace.close_span(handle.parent, window_end);
+        }
+        exec_h.record_silent((window_end - started).as_micros() as f64);
+    }
+    for ((task, _), out) in tasks.into_iter().zip(outcomes) {
+        let queries = out
+            .episodes
+            .iter()
+            .map(|ep| ServedQuery {
+                sql: render(&ep.statement),
+                measured: ep.measured,
+                satisfied: ep.satisfied,
+            })
+            .collect();
+        task.reply.send(RequestOutcome {
+            queries,
+            expired: out.expired,
+            model_label: model.label.clone(),
+            model_version: model.version,
+        });
+    }
+}
+
+/// Test mailbox: records every delivery as `(token, outcome)`.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct RecordingMailbox {
+    pub(crate) delivered: std::sync::Mutex<Vec<(usize, RequestOutcome)>>,
+}
+
+#[cfg(test)]
+impl Mailbox for RecordingMailbox {
+    fn deliver(&self, token: usize, _req_gen: u64, outcome: RequestOutcome) {
+        self.delivered
+            .lock()
+            .expect("recording mailbox")
+            .push((token, outcome));
     }
 }
 
@@ -331,6 +542,59 @@ mod tests {
         );
         assert_eq!(c.version, 3);
         assert_eq!(c.label, "trained");
+    }
+
+    #[test]
+    fn shard_loop_replies_to_every_task_and_drains_on_close() {
+        let db = sqlgen_storage::gen::tpch_database(0.05, 2);
+        let config = sqlgen_core::GenConfig::fast().with_seed(11);
+        let schemas = [
+            Arc::new(Schema::build("a", &db, &config, None, 0)),
+            Arc::new(Schema::build("b", &db, &config, None, 0)),
+        ];
+        let pool = ShardPool::new(1, 16);
+        let mailbox = Arc::new(RecordingMailbox::default());
+        let tasks = 6;
+        for token in 0..tasks {
+            let task = GenTask {
+                req: GenRequest {
+                    schema: String::new(),
+                    constraint: sqlgen_core::Constraint::cardinality_range(1.0, 500.0),
+                    n: 2,
+                    seed: token as u64,
+                    timeout_ms: None,
+                },
+                deadline: None,
+                enqueued: Instant::now(),
+                reply: Responder {
+                    mailbox: mailbox.clone(),
+                    token,
+                    req_gen: 0,
+                },
+                trace: None,
+            };
+            pool.try_push(&schemas[token % 2], task)
+                .map_err(|(e, _)| e)
+                .unwrap();
+        }
+        // Close before the worker starts: it must still drain all queued
+        // work, then return.
+        pool.close();
+        let cfg = WindowConfig {
+            lanes: 4,
+            max_wait: Duration::from_millis(2),
+            max_batch_jobs: 8,
+        };
+        shard_loop(&pool.shards[0], &cfg);
+        assert_eq!(pool.depth(), 0);
+        let mut delivered = mailbox.delivered.lock().unwrap().clone();
+        delivered.sort_by_key(|(token, _)| *token);
+        let tokens: Vec<usize> = delivered.iter().map(|(token, _)| *token).collect();
+        assert_eq!(tokens, (0..tasks).collect::<Vec<_>>(), "one reply per task");
+        for (_, out) in &delivered {
+            assert_eq!(out.queries.len() + out.expired, 2);
+            assert_eq!(out.model_label, "builtin");
+        }
     }
 
     fn ring_index(pool: &ShardPool, schema: &str) -> usize {

@@ -24,7 +24,6 @@ fn start_server(config: ServeConfig) -> ServerHandle {
 fn base_config() -> ServeConfig {
     ServeConfig {
         addr: "127.0.0.1:0".to_string(),
-        threads: 2,
         batch: 4,
         ..ServeConfig::default()
     }

@@ -1,28 +1,26 @@
 //! End-to-end tests over real sockets: equivalence with in-process
-//! generation, keep-alive, deadline expiry, hot-swap and graceful
-//! shutdown.
+//! generation, keep-alive, deadline expiry, hot-swap, the `/models` queue
+//! report and graceful shutdown. Serving is Linux-only (epoll).
+
+#![cfg(target_os = "linux")]
 
 use sqlgen_core::{Constraint, GenConfig, LearnedSqlGen};
 use sqlgen_serve::client::{self, Client};
-use sqlgen_serve::{serve, GenRequest, GenTask, ServeConfig, ServerHandle};
+use sqlgen_serve::{serve, ServeConfig, ServerHandle};
 use sqlgen_storage::gen::tpch_database;
-use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const SEED: u64 = 11;
 
-fn start_server_with(batch: usize, max_queue: usize, legacy_pool: bool) -> ServerHandle {
+fn start_server_with(config: ServeConfig) -> ServerHandle {
     let db = tpch_database(0.05, 2);
-    let config = GenConfig::fast().with_seed(SEED);
-    let schema = sqlgen_serve::Schema::build("tpch", &db, &config, None, max_queue);
+    let gen_config = GenConfig::fast().with_seed(SEED);
+    let schema = sqlgen_serve::Schema::build("tpch", &db, &gen_config, None, config.max_queue);
     serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-            batch,
             read_timeout_ms: 2_000,
-            legacy_pool,
-            ..ServeConfig::default()
+            ..config
         },
         vec![schema],
     )
@@ -30,7 +28,11 @@ fn start_server_with(batch: usize, max_queue: usize, legacy_pool: bool) -> Serve
 }
 
 fn start_server(batch: usize, max_queue: usize) -> ServerHandle {
-    start_server_with(batch, max_queue, false)
+    start_server_with(ServeConfig {
+        batch,
+        max_queue,
+        ..ServeConfig::default()
+    })
 }
 
 #[test]
@@ -203,21 +205,11 @@ fn every_response_carries_request_id_and_adopts_inbound_traceparent() {
 
 #[test]
 fn forced_504_trace_is_retained_with_tiled_phases() {
-    let db = tpch_database(0.05, 2);
-    let config = GenConfig::fast().with_seed(SEED);
-    let schema = sqlgen_serve::Schema::build("tpch", &db, &config, None, 64);
-    let server = serve(
-        ServeConfig {
-            addr: "127.0.0.1:0".to_string(),
-            threads: 2,
-            batch: 4,
-            max_wait_ms: 50,
-            read_timeout_ms: 2_000,
-            ..ServeConfig::default()
-        },
-        vec![schema],
-    )
-    .expect("bind ephemeral port");
+    let server = start_server_with(ServeConfig {
+        batch: 4,
+        max_wait_ms: 50,
+        ..ServeConfig::default()
+    });
 
     let resp = client::request_full(
         server.addr(),
@@ -259,10 +251,10 @@ fn forced_504_trace_is_retained_with_tiled_phases() {
     // Phases tile: each ends where the next begins, no overlap.
     assert!(qw_start + qw_dur <= bg_start + 1.0, "{body}");
     assert!(bg_start + bg_dur <= le_start + 1.0, "{body}");
-    // The batcher no longer waits out `max_wait` once the queue drains, so
-    // the phases are µs-scale and what's left of the wall is fixed
-    // dispatch + completion-wakeup overhead — bound it absolutely (10ms
-    // covers scheduler jitter) rather than as a fraction.
+    // What the phases leave of the wall is fixed dispatch +
+    // completion-wakeup overhead — bound it absolutely (10ms covers
+    // scheduler jitter) rather than as a fraction, since the gather wait
+    // can dominate the wall.
     let covered = qw_dur + bg_dur + le_dur;
     assert!(
         covered <= wall && wall - covered <= 10_000.0,
@@ -279,87 +271,49 @@ fn forced_504_trace_is_retained_with_tiled_phases() {
 }
 
 #[test]
-fn graceful_shutdown_drains_queued_work_and_closes_listener() {
-    // Legacy pool: this test pushes straight onto the per-schema queue,
-    // which only the legacy batcher threads drain (the event backend
-    // admits through shard queues instead; see the event drain test).
-    let server = start_server_with(4, 64, true);
-    let addr = server.addr();
-    let schema = server.schema("tpch").unwrap();
-    // Queue work directly, then shut down: every admitted task must still
-    // get a reply (drain, not abort).
-    let mut rxs = Vec::new();
-    for seed in 0..4u64 {
-        let (tx, rx) = mpsc::sync_channel(1);
-        schema
-            .queue
-            .try_push(GenTask {
-                req: GenRequest {
-                    schema: String::new(),
-                    constraint: Constraint::cardinality_range(1.0, 500.0),
-                    n: 2,
-                    seed,
-                    timeout_ms: None,
-                },
-                deadline: None,
-                enqueued: Instant::now(),
-                reply: sqlgen_serve::Responder::Channel(tx),
-                trace: None,
-            })
-            .map_err(|(e, _)| e)
-            .unwrap();
-        rxs.push(rx);
-    }
-    server.shutdown();
-    for rx in rxs {
-        let out = rx.try_recv().expect("queued task drained before join");
-        assert_eq!(out.queries.len() + out.expired, 2);
-    }
-    // New work is refused: the queue is closed and the listener is gone.
-    assert!(schema.queue.is_closed());
-    let refused = match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-        Err(_) => true,
-        Ok(s) => {
-            // Some platforms accept briefly from the backlog; the
-            // connection must be dead either way.
-            use std::io::{Read, Write};
-            let _ = s.shutdown(std::net::Shutdown::Both);
-            drop(s);
-            let mut probe = Vec::new();
-            match std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(500)) {
-                Err(_) => true,
-                Ok(mut s2) => {
-                    let _ = s2.set_read_timeout(Some(Duration::from_millis(500)));
-                    let _ = s2.write_all(b"GET /healthz HTTP/1.1\r\n\r\n");
-                    matches!(s2.read_to_end(&mut probe), Ok(0) | Err(_)) || probe.is_empty()
-                }
-            }
-        }
-    };
-    assert!(refused, "listener still serving after shutdown");
-}
-
-#[test]
 fn event_backend_drains_in_flight_requests_on_shutdown() {
-    let server = start_server(4, 64);
-    let addr = server.addr();
-    // Admit a request over HTTP, then shut down while it may still be in
-    // a shard queue or window: drain semantics say it completes.
-    let worker = std::thread::spawn(move || {
-        client::request(
-            addr,
-            "POST",
-            "/generate",
-            Some(r#"{"constraint":{"min":1,"max":500},"n":8,"seed":13}"#),
-        )
-        .expect("in-flight request answered across shutdown")
+    // One event loop, so every connection's admission runs on one thread
+    // in arrival order (see the `/healthz` fence below).
+    let server = start_server_with(ServeConfig {
+        batch: 4,
+        event_threads: 1,
+        ..ServeConfig::default()
     });
-    std::thread::sleep(Duration::from_millis(100));
+    let addr = server.addr();
+    // Admit several requests over HTTP, then shut down while they may
+    // still sit in a shard queue or window: drain semantics say every
+    // admitted request completes.
+    let requests = 4;
+    let workers: Vec<_> = (0..requests)
+        .map(|seed| {
+            std::thread::spawn(move || {
+                let body = format!(r#"{{"constraint":{{"min":1,"max":500}},"n":8,"seed":{seed}}}"#);
+                client::request(addr, "POST", "/generate", Some(&body))
+                    .expect("in-flight request answered across shutdown")
+            })
+        })
+        .collect();
+    // Each request misses the result cache inside the admission call that
+    // then pushes it onto a shard queue. Once all misses show, a `/healthz`
+    // answered by the same event loop proves those calls have returned,
+    // so every request was admitted before the pool closes.
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.cache_stats().1 < requests {
+        assert!(
+            Instant::now() < deadline,
+            "requests never reached admission"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let (status, _) = client::request(addr, "GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
     server.shutdown();
-    let (status, body) = worker.join().unwrap();
-    assert_eq!(status, 200, "{body}");
-    let v = serde_json::from_str::<serde_json::Value>(&body).unwrap();
-    assert_eq!(v.get("expired").unwrap().as_u64(), Some(0));
+    for worker in workers {
+        let (status, body) = worker.join().unwrap();
+        assert_eq!(status, 200, "{body}");
+        let v = serde_json::from_str::<serde_json::Value>(&body).unwrap();
+        assert_eq!(v.get("expired").unwrap().as_u64(), Some(0));
+    }
     // The listener is gone: a fresh connect must fail or yield nothing.
     std::thread::sleep(Duration::from_millis(50));
     if let Ok(mut s) = std::net::TcpStream::connect_timeout(&addr, Duration::from_millis(300)) {
@@ -417,5 +371,22 @@ fn hot_swap_invalidates_cached_responses() {
         Some(7),
         "stale cached response served after hot swap: {v7}"
     );
+    server.shutdown();
+}
+
+#[test]
+fn models_reports_the_shard_pool_queue() {
+    let server = start_server_with(ServeConfig {
+        shards: 2,
+        max_queue: 8,
+        ..ServeConfig::default()
+    });
+    let (status, models) = client::request(server.addr(), "GET", "/models", None).unwrap();
+    assert_eq!(status, 200, "{models}");
+    let v = serde_json::from_str::<serde_json::Value>(&models).unwrap();
+    let queue = v.get("queue").expect("pool queue in /models");
+    assert_eq!(queue.get("shards").unwrap().as_u64(), Some(2));
+    assert_eq!(queue.get("capacity").unwrap().as_u64(), Some(16));
+    assert_eq!(queue.get("depth").unwrap().as_u64(), Some(0));
     server.shutdown();
 }

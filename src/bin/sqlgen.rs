@@ -7,7 +7,7 @@
 //! sqlgen --benchmark tpch --range 1000 2000 --save model.json
 //! sqlgen --benchmark tpch --range 1000 2000 --load model.json --train 0
 //! sqlgen --benchmark tpch --range 1000 2000 --trace run.jsonl --metrics
-//! sqlgen serve --addr 127.0.0.1:8080 --threads 4 --batch 8 --max-queue 64
+//! sqlgen serve --addr 127.0.0.1:8080 --batch 8 --max-queue 64 --shards 2
 //! ```
 
 use learned_sqlgen::core::{profile, Constraint, ExecBudget, ExecDb, GenConfig, LearnedSqlGen};
@@ -220,7 +220,7 @@ fn query_json(
 }
 
 const SERVE_USAGE: &str = "\
-sqlgen serve — constraint-aware SQL generation over HTTP
+sqlgen serve — constraint-aware SQL generation over HTTP (Linux only)
 
 USAGE:
   sqlgen serve [flags]
@@ -233,12 +233,11 @@ FLAGS:
   --cache-mb <mib>        result-cache budget per schema, MiB; 0 disables
                           caching (default: 64)
   --pin-cpus              pin shard workers to CPUs round-robin
-  --legacy-pool           use the pre-event-loop thread-per-connection pool
-  --threads <workers>     HTTP worker threads, legacy pool only (default: 4)
   --batch <lanes>         lockstep GEMM lanes per generation window (default: 8)
   --quant                 serve int8 quantized snapshots of every model
-  --max-queue <n>         admission queue capacity; beyond it 429 (default: 64)
-  --max-wait-ms <ms>      batcher window coalescing wait (default: 5)
+  --max-queue <n>         admission queue capacity per shard; beyond it 429
+                          (default: 64)
+  --max-wait-ms <ms>      shard worker window coalescing wait (default: 5)
   --benchmark <name>      served schema: tpch|job|xuetang (default: tpch)
   --scale <sf>            data scale factor (default: 0.3)
   --seed <u64>            RNG seed (default: 42)
@@ -262,7 +261,7 @@ ENDPOINTS:
                     \"n\": 4, \"seed\": 7, \"timeout_ms\": 2000}
   GET  /healthz    200 while accepting, 503 while draining
   GET  /metrics    Prometheus-style text metrics
-  GET  /models     the served model per schema
+  GET  /models     the served model per schema and the admission queue
   POST /models/reload  re-scan --model-dir now
   GET  /debug/traces        recent sampled request traces (summaries)
   GET  /debug/traces/<id>   full span tree for one X-Request-Id
@@ -294,12 +293,6 @@ fn serve_main(argv: Vec<String>) -> ! {
         };
         match flag.as_str() {
             "--addr" => config.addr = value("--addr"),
-            "--threads" => {
-                config.threads = value("--threads")
-                    .parse::<usize>()
-                    .unwrap_or_else(|_| fail("--threads"))
-                    .max(1)
-            }
             "--batch" => {
                 config.batch = value("--batch")
                     .parse::<usize>()
@@ -335,7 +328,6 @@ fn serve_main(argv: Vec<String>) -> ! {
                     .unwrap_or_else(|_| fail("--cache-mb"))
             }
             "--pin-cpus" => config.pin_cpus = true,
-            "--legacy-pool" => config.legacy_pool = true,
             "--benchmark" => {
                 benchmark = value("--benchmark")
                     .parse()
@@ -453,7 +445,7 @@ fn serve_main(argv: Vec<String>) -> ! {
 
     let addr = config.addr.clone();
     let handle = learned_sqlgen::serve::serve(config, vec![schema]).unwrap_or_else(|e| {
-        obs_error!("cannot bind {addr}: {e}");
+        obs_error!("cannot serve on {addr}: {e}");
         exit(1);
     });
     obs_info!("serving on http://{}", handle.addr());

@@ -1,5 +1,5 @@
-//! The `sqlgen` generate path rejects retired and unknown flags with its
-//! usage text and exit status 2, before doing any work.
+//! The `sqlgen` generate and serve paths reject retired and unknown flags
+//! with their usage text and exit status 2, before doing any work.
 
 use std::process::Command;
 
@@ -20,4 +20,20 @@ fn retired_threads_flag_exits_with_usage() {
     assert_eq!(code, Some(2));
     assert!(err.contains("unknown flag --threads"), "{err}");
     assert!(err.contains("USAGE"), "{err}");
+}
+
+#[test]
+fn serve_rejects_retired_threads_flag_with_usage() {
+    let (code, err) = run(&["serve", "--threads", "4"]);
+    assert_eq!(code, Some(2));
+    assert!(err.contains("unknown serve flag --threads"), "{err}");
+    assert!(err.contains("sqlgen serve [flags]"), "{err}");
+}
+
+#[test]
+fn serve_rejects_retired_pool_flag_with_usage() {
+    let (code, err) = run(&["serve", "--legacy-pool"]);
+    assert_eq!(code, Some(2));
+    assert!(err.contains("unknown serve flag --legacy-pool"), "{err}");
+    assert!(err.contains("sqlgen serve [flags]"), "{err}");
 }
