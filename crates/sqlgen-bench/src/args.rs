@@ -49,7 +49,7 @@ impl HarnessArgs {
         Self::parse_from(std::env::args().skip(1))
     }
 
-    pub fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
+    fn parse_from<I: IntoIterator<Item = String>>(iter: I) -> Self {
         let mut args = HarnessArgs::default();
         let mut it = iter.into_iter();
         while let Some(flag) = it.next() {

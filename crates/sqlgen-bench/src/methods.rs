@@ -46,10 +46,6 @@ impl TestBed {
     pub fn env(&self, constraint: Constraint) -> SqlGenEnv<'_> {
         SqlGenEnv::new(&self.vocab, &self.est, constraint)
     }
-
-    pub fn env_with(&self, constraint: Constraint, fsm: FsmConfig) -> SqlGenEnv<'_> {
-        SqlGenEnv::new(&self.vocab, &self.est, constraint).with_fsm_config(fsm)
-    }
 }
 
 /// One method's outcome for one experiment cell.

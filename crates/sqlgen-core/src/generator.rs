@@ -219,9 +219,8 @@ impl LearnedSqlGen {
         self.quant.is_some()
     }
 
-    /// Enables or disables constraint-miss refinement at runtime (the
-    /// bench sweep's `--no-refine` escape hatch). Disabling restores the
-    /// legacy generate-and-hope path bit-for-bit.
+    /// Enables or disables constraint-miss refinement at runtime.
+    /// Disabling restores the legacy generate-and-hope path bit-for-bit.
     pub fn set_refine(&mut self, on: bool) {
         self.config.refine.enabled = on;
         self.refiner = Refiner::new(self.config.refine.clone());

@@ -388,21 +388,6 @@ impl Histogram {
         self.max()
     }
 
-    /// Clears all recorded samples. Benchmarks use this to scope
-    /// percentiles to a phase; not atomic w.r.t. concurrent recorders,
-    /// which is fine for the quiesced points where it's called.
-    pub fn reset(&self) {
-        for b in self.buckets.iter() {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
-        self.min_ord
-            .store(ordered_bits(f64::INFINITY), Ordering::Relaxed);
-        self.max_ord
-            .store(ordered_bits(f64::NEG_INFINITY), Ordering::Relaxed);
-    }
-
     pub fn p50(&self) -> f64 {
         self.percentile(0.50)
     }
@@ -979,21 +964,6 @@ mod tests {
         assert!(h.percentile(1.0) > 0.0);
         assert_eq!(h.min(), -10.0);
         assert_eq!(h.max(), 3.0);
-    }
-
-    #[test]
-    fn reset_clears_histogram() {
-        let h = Histogram::new("t".into());
-        for v in [1.0, 2.0, 1000.0] {
-            h.record_silent(v);
-        }
-        h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.p50(), 0.0);
-        h.record_silent(8.0);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), 8.0);
-        assert_eq!(h.max(), 8.0);
     }
 
     #[test]

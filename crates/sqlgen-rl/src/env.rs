@@ -98,7 +98,7 @@ impl ExecDb {
 }
 
 /// Execute-reward counters: how many rewards came from real execution
-/// versus estimator fallback (surfaced in `BENCH_storage.json`).
+/// versus estimator fallback.
 #[derive(Debug, Default)]
 pub struct ExecStats {
     pub executed: AtomicU64,

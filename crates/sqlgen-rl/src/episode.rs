@@ -2,10 +2,10 @@
 //!
 //! One episode = one query generated token-by-token (Algorithm 1):
 //! the FSM masks the action space, the actor samples, the environment
-//! rewards executable prefixes. The trainers roll episodes through the
-//! lane engine ([`crate::batch`], [`crate::train_batch`]); the
-//! one-episode loops here are the references the bitwise lane tests and
-//! fuzz oracles compare it against (and the meta-critic's own loop).
+//! rewards executable prefixes. Every trainer rolls episodes through the
+//! lane engines ([`crate::batch`], [`crate::train_batch`]); the
+//! one-episode loops here are only the references the bitwise lane tests
+//! and fuzz oracles compare them against.
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::nets::{ActorNet, ActorStep, NetScratch};
@@ -13,13 +13,10 @@ use rand::Rng;
 use sqlgen_engine::Statement;
 use sqlgen_nn::StackState;
 
-/// A completed episode with everything the trainers need.
-///
-/// `steps` may be empty when the rollout used an arena (the backward caches
-/// then live in the trainer's [`Rollout`], not in the episode); `actions`
-/// and `rewards` are always populated, so `len()` is defined on rewards.
+/// A completed episode with everything the trainers need. The backward
+/// caches live in the rollout arena that produced it ([`Rollout`] or
+/// [`crate::train_batch::TrainRollout`]), not in the episode.
 pub struct Episode {
-    pub steps: Vec<ActorStep>,
     pub actions: Vec<usize>,
     pub rewards: Vec<f32>,
     pub statement: Statement,
@@ -102,7 +99,6 @@ pub(crate) fn finish_episode(
     // summary) even for runs where nothing satisfies the constraint.
     sqlgen_obs::obs_count!("gen.satisfied.count", u64::from(satisfied));
     Episode {
-        steps: Vec::new(),
         actions,
         rewards,
         statement,
@@ -112,7 +108,8 @@ pub(crate) fn finish_episode(
 }
 
 /// Generates one query with the current policy, storing per-step caches in
-/// the rollout arena (`ro.steps[..ro.len]`) instead of the returned episode.
+/// the rollout arena (`ro.steps[..ro.len]`): the serial reference for
+/// [`crate::train_batch::TrainRollout`].
 ///
 /// `train = true` enables dropout; the RNG draw order per token is exactly
 /// that of the pre-arena path, so fixed seeds reproduce the same queries.
@@ -162,9 +159,8 @@ pub fn run_episode_into<R: Rng + ?Sized>(
 }
 
 /// Generates one query with the current policy without collecting backward
-/// caches — the inference fast path (zero heap allocations per token in
-/// steady state). Action streams match `run_episode(train = false)` for the
-/// same RNG.
+/// caches (zero heap allocations per token in steady state). Action
+/// streams match `run_episode_into(train = false)` for the same RNG.
 pub fn run_episode_infer<R: Rng + ?Sized>(
     actor: &ActorNet,
     env: &SqlGenEnv,
@@ -192,24 +188,6 @@ pub fn run_episode_infer<R: Rng + ?Sized>(
         }
     }
     finish_episode(env, &state, actions, rewards)
-}
-
-/// Generates one query with the current policy.
-///
-/// `train = true` enables dropout (the caches are collected either way; the
-/// caller decides whether to backprop). Allocating wrapper over
-/// [`run_episode_into`]: the episode owns its steps.
-pub fn run_episode<R: Rng + ?Sized>(
-    actor: &ActorNet,
-    env: &SqlGenEnv,
-    train: bool,
-    rng: &mut R,
-) -> Episode {
-    let mut ro = Rollout::new();
-    let mut ep = run_episode_into(actor, env, train, rng, &mut ro);
-    ro.steps.truncate(ro.len);
-    ep.steps = ro.steps;
-    ep
 }
 
 /// Reward-to-go `R(τ_{t:T})` per step (the REINFORCE return).
@@ -274,9 +252,10 @@ mod tests {
             1,
         );
         let mut rng = StdRng::seed_from_u64(3);
+        let mut ro = Rollout::new();
         for _ in 0..10 {
-            let ep = run_episode(&actor, &env, true, &mut rng);
-            assert_eq!(ep.steps.len(), ep.rewards.len());
+            let ep = run_episode_into(&actor, &env, true, &mut rng, &mut ro);
+            assert_eq!(ro.steps().len(), ep.rewards.len());
             assert!(ep.len() >= 5, "even the smallest query has 5 tokens");
             sqlgen_engine::validate(&db, &ep.statement).unwrap();
             assert!(ep.measured >= 0.0);

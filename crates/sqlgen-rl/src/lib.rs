@@ -35,8 +35,8 @@ pub use cache::{EstimatorCache, DEFAULT_ESTIMATOR_CACHE_CAPACITY};
 pub use constraint::{Constraint, Metric, Target, POINT_TOLERANCE};
 pub use env::{ExecBudget, ExecDb, ExecStats, RewardMode, RewardShaper, RewardSource, SqlGenEnv};
 pub use episode::{
-    rewards_to_go, rewards_to_go_into, run_episode, run_episode_infer, run_episode_into, Episode,
-    InferRollout, Rollout,
+    rewards_to_go, rewards_to_go_into, run_episode_infer, run_episode_into, Episode, InferRollout,
+    Rollout,
 };
 pub use meta_critic::{ConstraintEncoder, MetaCritic, MetaCriticTrainer, TaskSlot};
 pub use nets::{

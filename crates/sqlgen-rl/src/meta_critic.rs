@@ -14,11 +14,13 @@
 //! within an episode; the encoder is trained by backpropagating the sum of
 //! the per-step `∂L/∂z` through its final hidden state.
 
+use crate::batch::{with_lane_rngs, BatchRollout};
 use crate::constraint::Constraint;
 use crate::env::SqlGenEnv;
-use crate::episode::{run_episode, Episode};
-use crate::nets::{ActorNet, NetConfig};
+use crate::episode::Episode;
+use crate::nets::{ActorNet, NetConfig, NetGradsBatch};
 use crate::reinforce::TrainConfig;
+use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -233,20 +235,24 @@ impl MetaCriticTrainer {
         i
     }
 
-    /// One training episode for task `idx`. The environment's constraint
-    /// must match the task's (the caller builds envs per task).
+    /// One training episode for task `idx`, rolled out and backpropagated
+    /// through the one-lane engines on the trainer's own RNG stream. The
+    /// environment's constraint must match the task's (the caller builds
+    /// envs per task).
     pub fn train_task(&mut self, idx: usize, env: &SqlGenEnv) -> Episode {
         debug_assert_eq!(env.constraint, self.tasks[idx].constraint);
-        let ep = {
-            let task = &self.tasks[idx];
-            run_episode(&task.actor, env, true, &mut self.rng)
-        };
+        let mut ro = TrainRollout::new();
+        let actor = &self.tasks[idx].actor;
+        let ep = with_lane_rngs(&mut self.rng, 1, 1, |rngs| ro.collect(actor, env, rngs))
+            .pop()
+            .expect("one lane, one episode");
+        let steps = &ro.steps[0][..ro.lens[0]];
 
         // Constraint encoding from the task's accumulated history.
         let (z, enc_caches) = self.critic.encoder.encode(&self.tasks[idx].triples);
 
         // Value estimates conditioned on z.
-        let input_tokens: Vec<usize> = ep.steps.iter().map(|s| s.input_token).collect();
+        let input_tokens: Vec<usize> = steps.iter().map(|s| s.input_token).collect();
         let vsteps = self.critic.forward_episode(&input_tokens, &z);
         let values: Vec<f32> = vsteps.iter().map(|s| s.value).collect();
         let (advantages, dvalues) =
@@ -254,9 +260,17 @@ impl MetaCriticTrainer {
 
         // Actor update.
         let task = &mut self.tasks[idx];
-        task.actor.zero_grad();
-        task.actor
-            .backward_episode(&ep.steps, &advantages, self.cfg.lambda);
+        let mut grads = NetGradsBatch::default();
+        task.actor.ensure_grads(&mut grads, 1);
+        task.actor.backward_episodes_batch(
+            1,
+            &ro.steps,
+            &ro.lens,
+            std::slice::from_ref(&advantages),
+            self.cfg.lambda,
+            &mut grads,
+        );
+        task.actor.reduce_grads(&mut grads, 1);
         let mut ap = task.actor.params_mut();
         clip_grad_norm(&mut ap, self.cfg.grad_clip);
         task.opt_actor.step(&mut ap);
@@ -272,9 +286,8 @@ impl MetaCriticTrainer {
 
         // Record this episode's triples for the next encoding.
         let task = &mut self.tasks[idx];
-        for (s, &r) in ep.steps.iter().zip(&ep.rewards) {
-            task.triples.push((s.action, r));
-        }
+        task.triples
+            .extend(ep.actions.iter().copied().zip(ep.rewards.iter().copied()));
         let overflow = task.triples.len().saturating_sub(ENCODER_WINDOW);
         if overflow > 0 {
             task.triples.drain(..overflow);
@@ -283,9 +296,15 @@ impl MetaCriticTrainer {
         ep
     }
 
-    /// Inference with task `idx`'s actor.
+    /// Inference with task `idx`'s actor: one episode from the one-lane
+    /// engine on the trainer's RNG stream.
     pub fn generate(&mut self, idx: usize, env: &SqlGenEnv) -> Episode {
-        run_episode(&self.tasks[idx].actor, env, false, &mut self.rng)
+        let actor = &self.tasks[idx].actor;
+        with_lane_rngs(&mut self.rng, 1, 1, |rngs| {
+            BatchRollout::new().collect(actor, env, 1, rngs)
+        })
+        .pop()
+        .expect("one job, one episode")
     }
 
     pub fn rng_fork(&mut self) -> StdRng {

@@ -25,8 +25,8 @@
 //! - [`server`] — config, routing (`/generate`, `/healthz`, `/metrics`,
 //!   `/models`, `/models/reload`), `/generate` admission and graceful
 //!   drain-style shutdown.
-//! - [`client`] — minimal client used by tests, the CLI and
-//!   `bench_serve`.
+//! - [`client`] — minimal client used by tests, the CLI and the
+//!   benchmark.
 
 // Off Linux `serve` only reports `Unsupported`, leaving the routing and
 // admission code unused.

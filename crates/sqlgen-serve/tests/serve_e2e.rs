@@ -1,6 +1,7 @@
 //! End-to-end tests over real sockets: equivalence with in-process
-//! generation, keep-alive, deadline expiry, hot-swap, the `/models` queue
-//! report and graceful shutdown. Serving is Linux-only (epoll).
+//! generation (f32 and int8), keep-alive, deadline expiry, hot-swap, the
+//! result cache, the `/models` queue report and graceful shutdown. Serving
+//! is Linux-only (epoll).
 
 #![cfg(target_os = "linux")]
 
@@ -12,10 +13,11 @@ use std::time::{Duration, Instant};
 
 const SEED: u64 = 11;
 
-fn start_server_with(config: ServeConfig) -> ServerHandle {
+/// Serves one schema named `name`. Metrics are process-global and labeled
+/// by schema, so a test that reads `/metrics` counters uses its own name.
+fn start_schema_server(name: &str, gen_config: &GenConfig, config: ServeConfig) -> ServerHandle {
     let db = tpch_database(0.05, 2);
-    let gen_config = GenConfig::fast().with_seed(SEED);
-    let schema = sqlgen_serve::Schema::build("tpch", &db, &gen_config, None, config.max_queue);
+    let schema = sqlgen_serve::Schema::build(name, &db, gen_config, None, config.max_queue);
     serve(
         ServeConfig {
             addr: "127.0.0.1:0".to_string(),
@@ -27,6 +29,10 @@ fn start_server_with(config: ServeConfig) -> ServerHandle {
     .expect("bind ephemeral port")
 }
 
+fn start_server_with(config: ServeConfig) -> ServerHandle {
+    start_schema_server("tpch", &GenConfig::fast().with_seed(SEED), config)
+}
+
 fn start_server(batch: usize, max_queue: usize) -> ServerHandle {
     start_server_with(ServeConfig {
         batch,
@@ -35,11 +41,23 @@ fn start_server(batch: usize, max_queue: usize) -> ServerHandle {
     })
 }
 
-#[test]
-fn served_generation_matches_in_process_generator() {
-    let server = start_server(8, 64);
-    let body = r#"{"schema":"tpch","constraint":{"metric":"cardinality","min":1,"max":500},"n":4,"seed":21}"#;
-    let (status, resp) = client::request(server.addr(), "POST", "/generate", Some(body)).unwrap();
+/// Serves one seeded request from `gen_config`'s model, then answers the
+/// same request in process with a *different* batch width: byte-identical
+/// SQL is the serving determinism contract.
+fn assert_served_matches_in_process(name: &str, gen_config: GenConfig) {
+    let server = start_schema_server(
+        name,
+        &gen_config,
+        ServeConfig {
+            batch: 8,
+            max_queue: 64,
+            ..ServeConfig::default()
+        },
+    );
+    let body = format!(
+        r#"{{"schema":"{name}","constraint":{{"metric":"cardinality","min":1,"max":500}},"n":4,"seed":21}}"#
+    );
+    let (status, resp) = client::request(server.addr(), "POST", "/generate", Some(&body)).unwrap();
     assert_eq!(status, 200, "{resp}");
     let v = serde_json::from_str::<serde_json::Value>(&resp).unwrap();
     assert_eq!(v.get("model").unwrap().as_str(), Some("builtin"));
@@ -57,22 +75,34 @@ fn served_generation_matches_in_process_generator() {
             )
         })
         .collect();
+    let (_, models) = client::request(server.addr(), "GET", "/models", None).unwrap();
+    let v = serde_json::from_str::<serde_json::Value>(&models).unwrap();
+    let entry = &v.get("schemas").unwrap().as_array().unwrap()[0];
+    assert_eq!(
+        entry.get("quantized").unwrap().as_bool(),
+        Some(gen_config.quantize)
+    );
     server.shutdown();
 
-    // The same request answered in-process, with a *different* batch width:
-    // byte-identical SQL is the serving determinism contract.
     let db = tpch_database(0.05, 2);
-    let gen = LearnedSqlGen::new(
-        &db,
-        Constraint::cardinality_range(1.0, 500.0),
-        GenConfig::fast().with_seed(SEED),
-    );
+    let gen = LearnedSqlGen::new(&db, Constraint::cardinality_range(1.0, 500.0), gen_config);
     let direct: Vec<(String, bool)> = gen
         .generate_seeded(4, 21)
         .into_iter()
         .map(|q| (q.sql, q.satisfied))
         .collect();
     assert_eq!(served, direct);
+}
+
+#[test]
+fn served_generation_matches_in_process_generator() {
+    assert_served_matches_in_process("tpch", GenConfig::fast().with_seed(SEED));
+}
+
+#[test]
+fn quantized_registry_serves_generation_matching_in_process_int8() {
+    let gen_config = GenConfig::fast().with_seed(SEED).with_quantize(true);
+    assert_served_matches_in_process("tpch_int8", gen_config);
 }
 
 #[test]
@@ -326,9 +356,35 @@ fn event_backend_drains_in_flight_requests_on_shutdown() {
     }
 }
 
+/// `(hits, misses)` of the result cache of `schema`, read from the
+/// `/metrics` exposition.
+fn cache_counters(addr: std::net::SocketAddr, schema: &str) -> (f64, f64) {
+    let (status, metrics) = client::request(addr, "GET", "/metrics", None).unwrap();
+    assert_eq!(status, 200);
+    let value = |family: &str| -> f64 {
+        let series = format!("{family}{{schema=\"{schema}\"}} ");
+        metrics
+            .lines()
+            .find_map(|l| l.strip_prefix(&series))
+            .unwrap_or_else(|| panic!("no {series}in /metrics: {metrics}"))
+            .parse()
+            .unwrap()
+    };
+    (value("serve_cache_hits"), value("serve_cache_misses"))
+}
+
 #[test]
 fn repeat_requests_hit_the_cache_with_identical_bytes() {
-    let server = start_server(4, 64);
+    // Its own schema label: the `/metrics` counters below are global.
+    let server = start_schema_server(
+        "tpch_cache",
+        &GenConfig::fast().with_seed(SEED),
+        ServeConfig {
+            batch: 4,
+            max_queue: 64,
+            ..ServeConfig::default()
+        },
+    );
     let body = r#"{"constraint":{"metric":"cardinality","min":1,"max":500},"n":3,"seed":77}"#;
     let (status, first) = client::request(server.addr(), "POST", "/generate", Some(body)).unwrap();
     assert_eq!(status, 200, "{first}");
@@ -347,6 +403,32 @@ fn repeat_requests_hit_the_cache_with_identical_bytes() {
         .clone();
     assert!(cache.get("entries").unwrap().as_u64().unwrap() >= 1);
     assert!(cache.get("bytes").unwrap().as_u64().unwrap() > 0);
+
+    // Warm a small seed pool once, then replay it: nearly every lookup of
+    // the replay must hit.
+    let mut c = Client::connect(server.addr(), Duration::from_secs(30)).unwrap();
+    let request = |c: &mut Client, seed: u64| {
+        let body = format!(r#"{{"constraint":{{"min":1,"max":500}},"n":2,"seed":{seed}}}"#);
+        let (status, resp) = c.request("POST", "/generate", Some(&body)).unwrap();
+        assert_eq!(status, 200, "{resp}");
+    };
+    const POOL: u64 = 8;
+    for seed in 0..POOL {
+        request(&mut c, seed);
+    }
+    let (hits0, misses0) = cache_counters(server.addr(), "tpch_cache");
+    for round in 0..5 {
+        for seed in 0..POOL {
+            request(&mut c, (seed + round) % POOL);
+        }
+    }
+    let (hits1, misses1) = cache_counters(server.addr(), "tpch_cache");
+    let (hits, misses) = (hits1 - hits0, misses1 - misses0);
+    let hit_rate = hits / (hits + misses);
+    assert!(
+        hit_rate > 0.9,
+        "replay hit rate {hit_rate:.3} ({hits} hits, {misses} misses)"
+    );
     server.shutdown();
 }
 

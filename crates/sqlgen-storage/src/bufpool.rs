@@ -187,13 +187,6 @@ impl BufferPool {
         }
     }
 
-    pub fn reset_stats(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.evictions.store(0, Ordering::Relaxed);
-        self.write_backs.store(0, Ordering::Relaxed);
-    }
-
     /// Places a filled frame, evicting via the clock if at capacity.
     /// Returns the frame index used.
     fn install(

@@ -325,10 +325,6 @@ impl PagedDb {
         self.pool.stats()
     }
 
-    pub fn reset_pool_stats(&self) {
-        self.pool.reset_stats()
-    }
-
     pub fn pool(&self) -> &BufferPool {
         &self.pool
     }
