@@ -1437,7 +1437,9 @@ pub fn check_paged_equivalence(rng: &mut StdRng) -> CheckResult {
     result
 }
 
-fn value_bits_eq(a: &sqlgen_storage::Value, b: &sqlgen_storage::Value) -> bool {
+/// Bitwise value equality: floats by bit pattern (SQL `==` never equates
+/// NaN or NULL, which is wrong for storage equivalence).
+pub fn value_bits_eq(a: &sqlgen_storage::Value, b: &sqlgen_storage::Value) -> bool {
     use sqlgen_storage::Value;
     match (a, b) {
         (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
