@@ -435,140 +435,29 @@ impl LearnedSqlGen {
 
     /// Generates `n` queries whose token streams are a pure function of
     /// `(weights, constraint, seed)` — independent of `batch_size` and of
-    /// anything else running in the process. Query `j` uses
-    /// the per-job seed [`worker_seed`]`(seed, j)`, so the result is also
-    /// what a server coalescing this request with others must return.
+    /// anything else running in the process. Query `j` uses the per-job
+    /// seed [`worker_seed`]`(seed, j)` and is refined and resampled by
+    /// [`generate_window`], so the result is also what a server coalescing
+    /// this request with others must return.
     pub fn generate_seeded(&self, n: usize, seed: u64) -> Vec<GeneratedQuery> {
-        self.generate_seeded_deadline(n, seed, None).0
-    }
-
-    /// Deadline-aware [`LearnedSqlGen::generate_seeded`]: jobs still
-    /// running at `deadline` abort mid-generation. Returns the completed
-    /// queries (in job order) and the number of expired jobs.
-    pub fn generate_seeded_deadline(
-        &self,
-        n: usize,
-        seed: u64,
-        deadline: Option<Instant>,
-    ) -> (Vec<GeneratedQuery>, usize) {
-        self.generate_seeded_traced(n, seed, deadline, None)
-    }
-
-    /// [`LearnedSqlGen::generate_seeded_deadline`] with an optional request
-    /// trace: each job attributes its lane time (`episode` span,
-    /// `estimator`/`refill` accumulation, token counts) to `trace`. This is
-    /// the facade a serving batcher calls so end-to-end request traces
-    /// reach the per-token engine.
-    pub fn generate_seeded_traced(
-        &self,
-        n: usize,
-        seed: u64,
-        deadline: Option<Instant>,
-        trace: Option<sqlgen_obs::TraceHandle>,
-    ) -> (Vec<GeneratedQuery>, usize) {
         let _span = sqlgen_obs::obs_span!("gen.generate_seeded");
         let env = self.env();
-        let lanes = self.config.batch_size.max(1);
-        let jobs: Vec<Job> = (0..n)
-            .map(|j| Job {
-                env: &env,
-                seed: worker_seed(seed, j),
-                deadline,
-                tag: j as u64,
-                trace: trace.clone(),
-            })
-            .collect();
-        let tagged = run_jobs_batched(self.infer_actor(), jobs, lanes);
-        // Job-indexed slots so refinement/resampling can replace a miss in
-        // place; `None` marks an expired job.
-        let mut slots: Vec<Option<GeneratedQuery>> = (0..n).map(|_| None).collect();
-        for (tag, outcome) in tagged {
-            if let JobOutcome::Done(ep) = outcome {
-                slots[tag as usize] = Some(to_generated(&ep));
-            }
-        }
-        if self.refiner.enabled() && n > 0 {
-            let t0 = Instant::now();
-            for q in slots.iter_mut().flatten() {
-                if !q.satisfied {
-                    if let Some((stmt, m)) = self.refiner.refine(&env, &q.statement, q.measured) {
-                        q.sql = render(&stmt);
-                        q.statement = stmt;
-                        q.measured = m;
-                        q.satisfied = true;
-                    }
-                }
-            }
-            // Fallback resampling: redraw still-missing slots with seeds
-            // disjoint from the primary `worker_seed(seed, 0..n)` block.
-            // Every redraw is a fresh Job (own seed, zeroed lane), so the
-            // output stays a pure function of `(weights, constraint,
-            // seed)` — independent of `lanes` and of co-tenant work. Once
-            // the miss set shrinks below the lane width, several future
-            // rounds are drawn speculatively in one batched call (the seed
-            // schedule is fixed, so accepting the lowest satisfying round
-            // per slot is exactly what the one-round-at-a-time loop would
-            // produce) — the tail would otherwise run near-serial lanes.
-            let mut round = 0usize;
-            while round < self.config.refine.resample_rounds {
-                let missing: Vec<usize> = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.as_ref().is_some_and(|q| !q.satisfied))
-                    .map(|(i, _)| i)
-                    .collect();
-                if missing.is_empty() {
-                    break;
-                }
-                let span =
-                    (lanes / missing.len()).clamp(1, self.config.refine.resample_rounds - round);
-                sqlgen_obs::obs_count!("refine.resampled", (missing.len() * span) as u64);
-                let jobs: Vec<Job> = (0..span)
-                    .flat_map(|r| {
-                        let trace = &trace;
-                        let env = &env;
-                        missing.iter().map(move |&j| Job {
-                            env,
-                            seed: worker_seed(seed, n * (round + r + 1) + j),
-                            deadline,
-                            tag: (r * n + j) as u64,
-                            trace: trace.clone(),
-                        })
-                    })
-                    .collect();
-                let redraws = run_jobs_batched(self.infer_actor(), jobs, lanes);
-                // Lowest satisfying round wins per slot, matching the
-                // sequential schedule.
-                let mut won: Vec<Option<usize>> = vec![None; n];
-                for (tag, outcome) in redraws {
-                    let JobOutcome::Done(mut ep) = outcome else {
-                        continue;
-                    };
-                    let (r, j) = ((tag as usize) / n, (tag as usize) % n);
-                    if won[j].is_some_and(|best| best <= r) {
-                        continue;
-                    }
-                    self.refiner.refine_episode(&env, &mut ep);
-                    if ep.satisfied {
-                        won[j] = Some(r);
-                        slots[j] = Some(to_generated(&ep));
-                    }
-                }
-                round += span;
-            }
-            if let Some(tr) = &trace {
-                tr.accum("refine", t0.elapsed().as_nanos() as f64 / 1_000.0);
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        let mut expired = 0usize;
-        for slot in slots {
-            match slot {
-                Some(q) => out.push(q),
-                None => expired += 1,
-            }
-        }
-        (out, expired)
+        let req = SeededRequest {
+            env: &env,
+            n,
+            seed,
+            deadline: None,
+            trace: None,
+        };
+        let lanes = self.config.batch_size;
+        let mut window = generate_window(self.infer_actor(), &[req], lanes, Some(&self.refiner));
+        // Without a deadline no job expires, so every slot holds a query.
+        window
+            .remove(0)
+            .into_iter()
+            .flatten()
+            .map(|ep| to_generated(&ep))
+            .collect()
     }
 
     /// Builds a versioned [`Checkpoint`] of the trained policy: actor +
@@ -646,6 +535,137 @@ fn to_generated(ep: &Episode) -> GeneratedQuery {
         measured: ep.measured,
         satisfied: ep.satisfied,
     }
+}
+
+/// One request of a seeded generation window.
+pub struct SeededRequest<'e, 'v: 'e> {
+    /// The request's environment: constraint, FSM limits, reward source
+    /// and estimator cache.
+    pub env: &'e SqlGenEnv<'v>,
+    /// Number of queries.
+    pub n: usize,
+    /// Base seed; slot `j` first draws with [`worker_seed`]`(seed, j)`.
+    pub seed: u64,
+    /// Jobs still running at the deadline abort and leave their slot empty.
+    pub deadline: Option<Instant>,
+    /// Request trace the jobs attribute their lane time to, plus a
+    /// `refine` phase for local search.
+    pub trace: Option<sqlgen_obs::TraceHandle>,
+}
+
+/// Seeded generation for a window of requests on `lanes` lockstep lanes —
+/// the pipeline behind both [`LearnedSqlGen::generate_seeded`] and
+/// serving. Returns each request's `n` slots in order; `None` marks a job
+/// that expired.
+///
+/// Every job is a fresh [`sqlgen_rl::Job`] with its own seed, and the
+/// refiner is a pure function of `(schema, constraint, query)`, so each
+/// request's slots depend only on the actor, its env and its
+/// `(n, seed)` — not on `lanes` or on the other requests. With an enabled
+/// `refiner`, missed slots are repaired by local search and then redrawn
+/// for up to `resample_rounds` rounds: round `round` redraws slot `j` with
+/// seed `worker_seed(seed, n·(round+1) + j)`, disjoint from the
+/// primary block, and the lowest satisfying round wins. Once the miss set
+/// is narrower than the lanes, several rounds are drawn speculatively in
+/// one batched call; the seed schedule is fixed, so keeping the lowest
+/// satisfying round per slot returns exactly what the round-by-round loop
+/// would, while the tail no longer runs near-serial lanes.
+pub fn generate_window<A: InferActor + ?Sized>(
+    actor: &A,
+    reqs: &[SeededRequest],
+    lanes: usize,
+    refiner: Option<&Refiner>,
+) -> Vec<Vec<Option<Episode>>> {
+    let lanes = lanes.max(1);
+    // Runs one job per `(request, slot, seed)` draw; job tags index `draws`.
+    let run = |draws: &[(usize, usize, u64)]| {
+        let jobs = draws
+            .iter()
+            .enumerate()
+            .map(|(k, &(ri, _, seed))| Job {
+                env: reqs[ri].env,
+                seed,
+                deadline: reqs[ri].deadline,
+                tag: k as u64,
+                trace: reqs[ri].trace.clone(),
+            })
+            .collect();
+        run_jobs_batched(actor, jobs, lanes)
+    };
+    let primary: Vec<(usize, usize, u64)> = reqs
+        .iter()
+        .enumerate()
+        .flat_map(|(ri, r)| (0..r.n).map(move |j| (ri, j, worker_seed(r.seed, j))))
+        .collect();
+    let mut slots: Vec<Vec<Option<Episode>>> = reqs
+        .iter()
+        .map(|r| (0..r.n).map(|_| None).collect())
+        .collect();
+    for (k, outcome) in run(&primary) {
+        if let JobOutcome::Done(ep) = outcome {
+            let (ri, j, _) = primary[k as usize];
+            slots[ri][j] = Some(*ep);
+        }
+    }
+    let Some(refiner) = refiner.filter(|r| r.enabled()) else {
+        return slots;
+    };
+    for (r, req_slots) in reqs.iter().zip(&mut slots) {
+        let t0 = r.trace.is_some().then(Instant::now);
+        for ep in req_slots.iter_mut().flatten() {
+            refiner.refine_episode(r.env, ep);
+        }
+        if let (Some(t0), Some(handle)) = (t0, &r.trace) {
+            handle.accum("refine", t0.elapsed().as_nanos() as f64 / 1_000.0);
+        }
+    }
+    let rounds = refiner.config().resample_rounds;
+    let mut first = 0usize;
+    while first < rounds {
+        let missing: Vec<(usize, usize)> = slots
+            .iter()
+            .enumerate()
+            .flat_map(|(ri, req_slots)| {
+                req_slots
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, s)| s.as_ref().is_some_and(|ep| !ep.satisfied))
+                    .map(move |(j, _)| (ri, j))
+            })
+            .collect();
+        if missing.is_empty() {
+            break;
+        }
+        let span = (lanes / missing.len()).clamp(1, rounds - first);
+        let draws: Vec<(usize, usize, u64)> = (first..first + span)
+            .flat_map(|round| {
+                missing.iter().map(move |&(ri, j)| {
+                    let r = &reqs[ri];
+                    (ri, j, worker_seed(r.seed, r.n * (round + 1) + j))
+                })
+            })
+            .collect();
+        sqlgen_obs::obs_count!("refine.resampled", draws.len() as u64);
+        // Draw `k` is round `first + k / missing.len()` of missing slot
+        // `k % missing.len()`; the lowest satisfying round wins.
+        let mut won: Vec<Option<usize>> = vec![None; missing.len()];
+        for (k, outcome) in run(&draws) {
+            let JobOutcome::Done(mut ep) = outcome else {
+                continue;
+            };
+            let (offset, m) = (k as usize / missing.len(), k as usize % missing.len());
+            if won[m].is_some_and(|best| best <= offset) {
+                continue;
+            }
+            let (ri, j) = missing[m];
+            if refiner.refine_episode(reqs[ri].env, &mut ep) {
+                won[m] = Some(offset);
+                slots[ri][j] = Some(*ep);
+            }
+        }
+        first += span;
+    }
+    slots
 }
 
 #[cfg(test)]
@@ -943,16 +963,6 @@ mod tests {
                 assert_eq!(x.measured.to_bits(), y.measured.to_bits());
             }
         }
-    }
-
-    #[test]
-    fn generate_seeded_deadline_expires_jobs() {
-        let constraint = Constraint::cardinality_range(10.0, 10_000.0);
-        let g = quick_gen(constraint);
-        let past = Instant::now() - std::time::Duration::from_millis(1);
-        let (done, expired) = g.generate_seeded_deadline(4, 1, Some(past));
-        assert!(done.is_empty());
-        assert_eq!(expired, 4);
     }
 
     /// `RewardSource::Execute` trains end-to-end against both store

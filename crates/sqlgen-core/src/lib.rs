@@ -31,7 +31,7 @@ pub mod refine;
 pub use checkpoint::{Checkpoint, CheckpointError, CheckpointMeta, CHECKPOINT_VERSION};
 pub use config::{Algorithm, GenConfig};
 pub use diversity::{profile, structure_signature, DiversityReport};
-pub use generator::{GeneratedQuery, LearnedSqlGen, TrainStats};
+pub use generator::{generate_window, GeneratedQuery, LearnedSqlGen, SeededRequest, TrainStats};
 pub use meta::{MetaSqlGen, Specialized};
 pub use metrics::{timed, GenerationReport};
 pub use refine::{RefineConfig, RefineOutcome, RefineStep, Refiner};

@@ -591,7 +591,8 @@ pub fn check_nn_numerics(rng: &mut StdRng) -> CheckResult {
 /// (`sqlgen_serve::run_window`) must produce, for every request,
 /// episodes bitwise-identical to that request served alone on a single
 /// lane — same token streams, same measured metrics, same rendered SQL —
-/// regardless of batch width or co-tenant requests.
+/// regardless of batch width or co-tenant requests. About half the
+/// windows run with refinement and resampling on.
 ///
 /// Part 2: the hand-rolled HTTP parser must survive truncated, oversized
 /// and byte-flipped request soup without panicking, and classify crafted
@@ -640,7 +641,14 @@ pub fn check_serve_equivalence(rng: &mut StdRng) -> CheckResult {
         })
         .collect();
     let lanes = [2usize, 4, 8][rng.random_range(0..3usize)];
-    let window = run_window(&actor, &vocab, &est, &fsm, &reqs, lanes, None);
+    let refiner = (rng.random_range(0..2) == 0).then(|| {
+        sqlgen_core::Refiner::new(sqlgen_core::RefineConfig {
+            max_evals: rng.random_range(0..=32),
+            resample_rounds: rng.random_range(1..=4),
+            ..Default::default()
+        })
+    });
+    let window = run_window(&actor, &vocab, &est, &fsm, &reqs, lanes, refiner.as_ref());
     for (ri, req) in reqs.iter().enumerate() {
         let solo = run_window(
             &actor,
@@ -649,7 +657,7 @@ pub fn check_serve_equivalence(rng: &mut StdRng) -> CheckResult {
             &fsm,
             std::slice::from_ref(req),
             1,
-            None,
+            refiner.as_ref(),
         );
         let a = &window[ri].episodes;
         let b = &solo[0].episodes;

@@ -1,5 +1,5 @@
-//! Batched lockstep rollout collection with continuous lane refill — the
-//! one inference engine every generation path runs through.
+//! Batched lockstep rollouts with continuous lane refill — the one
+//! inference engine every generation path runs through.
 //!
 //! Single-stream inference re-reads the full weight matrices once per token
 //! (memory-bandwidth bound). The batched engine instead advances `B`
@@ -8,23 +8,32 @@
 //! via the matrix-matrix kernels in `sqlgen-nn`, raising arithmetic
 //! intensity even on one core. Width 1 is simply a one-lane engine.
 //!
-//! Lane `l` owns its FSM [`GenState`], its [`RewardShaper`], and the RNG
-//! stream `rngs[l]` the caller hands in (and gets back, advanced). When a
-//! lane emits `EOF` its finished query is flushed and the lane immediately
-//! restarts on the next pending job — **continuous refill** — so short
-//! queries never stall the batch. A refilled lane keeps its RNG stream
-//! running, which yields the determinism contract:
+//! There is one lockstep loop. It runs a fixed list of [`Job`]s: each lane
+//! owns one job's FSM [`GenState`] and [`RewardShaper`], and when the job
+//! ends (`EOF`, or its deadline passed) the lane immediately restarts on
+//! the next queued job — **continuous refill** — so short queries never
+//! stall the batch. Once the queue is empty, finished lanes are
+//! **compacted away** ([`Vec::swap_remove`]-style) and the drain tail runs
+//! at the shrinking live width. That is legal because each lane's forward
+//! math reads only its own slot (the batched kernels are bitwise position-
+//! and width-independent per lane) and a lane's RNG stream travels with
+//! its slot.
 //!
-//! * every lane's token stream is bit-identical to a serial
+//! The callers differ only in where a lane's RNG stream comes from:
+//!
+//! * [`BatchRollout::collect`] / [`BatchRollout::collect_tagged`] (training
+//!   and unseeded generation) run lane `l` on the caller's stream
+//!   `rngs[l]` across every episode the lane produces and hand it back
+//!   advanced. Every lane's token stream is then bit-identical to a serial
 //!   [`run_episode_infer`](crate::episode::run_episode_infer) loop over
-//!   that lane's RNG (the batched kernels accumulate in the same order as
-//!   their serial counterparts, and inactive lanes draw no RNG);
-//! * for fixed lane RNGs and `n` the collected episodes are a pure
-//!   function of the policy weights — single-threaded lockstep has no
-//!   scheduling freedom — so runs reproduce exactly.
-//!
-//! Trainers pick the lane RNGs with [`with_lane_rngs`], the single place
-//! where width 1 differs from wider engines.
+//!   that stream, and for fixed streams and `n` the episodes are a pure
+//!   function of the policy weights. Trainers pick the streams with
+//!   [`with_lane_rngs`], the single place where width 1 differs from wider
+//!   engines.
+//! * [`run_jobs_batched`] (seeded generation and serving) reseeds a lane
+//!   from [`Job::seed`] and zeroes it at every assignment, so each job's
+//!   episode is a pure function of `(weights, env, seed)` — independent of
+//!   the width, of its lane and of its co-tenant jobs.
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
@@ -78,19 +87,118 @@ fn us_since(t0: Instant) -> f64 {
     t0.elapsed().as_nanos() as f64 / 1_000.0
 }
 
-/// One in-flight episode owned by a lane.
-struct LaneRun<'a> {
-    state: GenState<'a>,
+/// One generation job for the lockstep engine.
+pub struct Job<'e, 'v: 'e> {
+    /// Environment the episode rolls out in. Jobs of one run may use
+    /// different environments (constraints), but every environment must
+    /// expose the same action space as the actor vocabulary.
+    pub env: &'e SqlGenEnv<'v>,
+    /// Seed for this job's private RNG stream under [`run_jobs_batched`]
+    /// (unused by [`BatchRollout::collect`], whose lanes carry the
+    /// caller's streams).
+    pub seed: u64,
+    /// Absolute deadline; once passed the job aborts mid-generation and is
+    /// reported as [`JobOutcome::Expired`].
+    pub deadline: Option<Instant>,
+    /// Caller-chosen id handed back with the outcome.
+    pub tag: u64,
+    /// Request trace to attribute this job's lane time to: an `episode`
+    /// span per job plus accumulated `estimator` and `refill` phases.
+    /// Untraced jobs (`None`) pay one branch per token and nothing else.
+    pub trace: Option<TraceHandle>,
+}
+
+/// Terminal state of one [`Job`].
+pub enum JobOutcome {
+    Done(Box<Episode>),
+    /// The deadline passed before the episode finished.
+    Expired,
+}
+
+/// Where each lane's RNG stream comes from — the one rule in which the
+/// engine's callers differ.
+enum LaneRngs<'r> {
+    /// This many lanes; each is reseeded from [`Job::seed`] whenever a job
+    /// is assigned to it.
+    Reseed(usize),
+    /// One lane per stream: lane `l` runs every job it is assigned on
+    /// `rngs[l]`, which is handed back where the lane's stream stopped.
+    Carry(&'r mut [StdRng]),
+}
+
+/// One in-flight job owned by a lane.
+struct LaneRun<'e, 'v: 'e> {
+    env: &'e SqlGenEnv<'v>,
+    state: GenState<'v>,
     shaper: RewardShaper,
     actions: Vec<usize>,
     rewards: Vec<f32>,
-    /// Index of this episode in the caller's job queue (`0..n`).
-    job: usize,
+    deadline: Option<Instant>,
+    tag: u64,
+    trace: Option<TraceHandle>,
+    /// When this job was assigned to its lane (traced jobs only).
+    assigned: Option<Instant>,
+    /// Accumulated `env.step` time — estimator-dominated (the shaped
+    /// reward's cardinality/cost probes), flushed to the trace once at
+    /// completion so the hot loop never touches the trace mutex.
+    est_us: f64,
+}
+
+impl<'e, 'v: 'e> LaneRun<'e, 'v> {
+    /// Starts `job` on physical slot `p`: zeroes the LSTM lane, feeds BOS
+    /// next, and — when `reseed` — restarts the slot's RNG stream from
+    /// [`Job::seed`].
+    fn start(
+        job: Job<'e, 'v>,
+        p: usize,
+        reseed: bool,
+        state: &mut LstmBatchState,
+        prev: &mut [Option<usize>],
+        rngs: &mut [StdRng],
+    ) -> Self {
+        let t0 = job.trace.is_some().then(Instant::now);
+        state.reset_lane(p);
+        prev[p] = None;
+        if reseed {
+            rngs[p] = StdRng::seed_from_u64(job.seed);
+        }
+        let run = LaneRun {
+            state: job.env.reset(),
+            env: job.env,
+            shaper: RewardShaper::new(),
+            actions: Vec::new(),
+            rewards: Vec::new(),
+            deadline: job.deadline,
+            tag: job.tag,
+            trace: job.trace,
+            assigned: t0,
+            est_us: 0.0,
+        };
+        if let (Some(t0), Some(handle)) = (t0, &run.trace) {
+            // Lane reset + reseed + env reset on behalf of the job.
+            handle.accum("refill", us_since(t0));
+        }
+        run
+    }
+
+    /// Flushes this job's trace attribution: the `episode` wall span plus
+    /// the accumulated `estimator` time and token count.
+    fn flush_trace(&self, tokens: usize) {
+        let Some(handle) = &self.trace else {
+            return;
+        };
+        let now = Instant::now();
+        if let Some(assigned) = self.assigned {
+            handle.span_between("episode", assigned, now);
+        }
+        handle.accum("estimator", self.est_us);
+        handle.trace.annotate_add("tokens", tokens as f64);
+    }
 }
 
 /// Reusable buffers for batched lockstep generation. One instance can
-/// serve many [`BatchRollout::collect`] calls; buffers are resized (not
-/// reallocated) when the batch width or vocabulary stays the same.
+/// serve many calls; buffers are resized (not reallocated) when the batch
+/// width or vocabulary stays the same.
 #[derive(Default)]
 pub struct BatchRollout {
     state: LstmBatchState,
@@ -114,14 +222,6 @@ impl BatchRollout {
     /// deterministic refill queue and `lane` the lane that produced it —
     /// enough to replay any lane serially. Each `rngs[l]` is left where
     /// lane `l`'s stream stopped.
-    ///
-    /// Once the job queue is exhausted, finished lanes are **compacted
-    /// away** ([`Vec::swap_remove`]-style) instead of riding through the
-    /// GEMMs inactive: the drain tail runs at the shrinking live width.
-    /// Legal because each lane's forward math reads only its own slot —
-    /// the batched kernels are bitwise position- and width-independent per
-    /// lane — and a lane's RNG stream travels with its slot, so every
-    /// episode is unchanged.
     pub fn collect_tagged<A: InferActor + ?Sized>(
         &mut self,
         actor: &A,
@@ -129,121 +229,22 @@ impl BatchRollout {
         n: usize,
         rngs: &mut [StdRng],
     ) -> Vec<(usize, usize, Episode)> {
-        let b = rngs.len().min(n);
-        if b == 0 {
-            return Vec::new();
-        }
-        let vocab = env.action_space();
-        self.state = actor.begin_batch(b);
-        self.masks.clear();
-        self.masks.resize(b * vocab, false);
-        self.prev.clear();
-        self.prev.resize(b, None);
-        self.active.clear();
-        self.active.resize(b, true);
-        self.actions.clear();
-        self.actions.resize(b, 0);
-        self.rngs.clear();
-        self.rngs.extend_from_slice(&rngs[..b]);
-
-        // `b <= n`, so every slot starts with a job. Physical slot `p`
-        // hosts the lane originally numbered `order[p]` (the tag reported
-        // in the output tuples and the lane whose RNG stream slot `p`
-        // carries).
-        let mut order: Vec<usize> = (0..b).collect();
-        let mut lanes: Vec<LaneRun> = (0..b)
-            .map(|job| LaneRun {
-                state: env.reset(),
-                shaper: RewardShaper::new(),
-                actions: Vec::new(),
-                rewards: Vec::new(),
-                job,
+        let jobs = (0..n)
+            .map(|j| Job {
+                env,
+                seed: 0,
+                deadline: None,
+                tag: j as u64,
+                trace: None,
             })
             .collect();
-        let mut next_job = b;
-        let mut out = Vec::with_capacity(n);
-        let mut done_slots: Vec<usize> = Vec::new();
-
-        while !order.is_empty() {
-            let w = order.len();
-            let start = sqlgen_obs::timing_enabled().then(std::time::Instant::now);
-            for (p, run) in lanes.iter().enumerate() {
-                run.state.mask_into_row(&mut self.masks, p);
-            }
-            actor.infer_step_batch(
-                &self.prev[..w],
-                &self.active[..w],
-                &mut self.state,
-                &self.masks[..w * vocab],
-                &mut self.rngs[..w],
-                &mut self.scratch,
-                &mut self.actions[..w],
-            );
-            done_slots.clear();
-            for (p, run) in lanes.iter_mut().enumerate() {
-                let action = self.actions[p];
-                let (reward, done) = env.step(&mut run.state, action, &mut run.shaper);
-                self.prev[p] = Some(action);
-                run.actions.push(action);
-                run.rewards.push(reward);
-                if done {
-                    if next_job < n {
-                        // Refill: fresh episode, zeroed LSTM lane, BOS
-                        // input — the lane's RNG stream continues, exactly
-                        // like a serial loop starting its next episode.
-                        let fresh = LaneRun {
-                            state: env.reset(),
-                            shaper: RewardShaper::new(),
-                            actions: Vec::new(),
-                            rewards: Vec::new(),
-                            job: next_job,
-                        };
-                        let LaneRun {
-                            state,
-                            actions,
-                            rewards,
-                            job,
-                            ..
-                        } = std::mem::replace(run, fresh);
-                        out.push((job, order[p], finish_episode(env, &state, actions, rewards)));
-                        next_job += 1;
-                        self.state.reset_lane(p);
-                        self.prev[p] = None;
-                    } else {
-                        done_slots.push(p);
-                    }
-                }
-            }
-            // Compact drained slots out, highest physical index first so
-            // each swap_remove only moves a still-live slot. The drained
-            // lane's stream goes back to the caller.
-            for &p in done_slots.iter().rev() {
-                let LaneRun {
-                    state,
-                    actions,
-                    rewards,
-                    job,
-                    ..
-                } = lanes.swap_remove(p);
-                out.push((job, order[p], finish_episode(env, &state, actions, rewards)));
-                self.state.swap_remove_lane(p);
-                rngs[order[p]] = self.rngs.swap_remove(p);
-                self.prev.swap_remove(p);
-                self.actions.swap_remove(p);
-                order.swap_remove(p);
-            }
-            self.active.truncate(order.len());
-            sqlgen_obs::obs_record!("rl.batch.occupancy", w as f64);
-            if let Some(start) = start {
-                // One histogram sample per emitted token (matching the
-                // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / w as f64;
-                for _ in 0..w {
-                    sqlgen_obs::obs_record!("rl.step.latency_us", us);
-                }
-            }
-        }
-        out
+        self.run(actor, jobs, LaneRngs::Carry(rngs))
+            .into_iter()
+            .map(|(job, lane, outcome)| match outcome {
+                JobOutcome::Done(ep) => (job as usize, lane, *ep),
+                JobOutcome::Expired => unreachable!("a job without a deadline never expires"),
+            })
+            .collect()
     }
 
     /// Collects `n` episodes with one lockstep lane per entry of `rngs`,
@@ -260,186 +261,141 @@ impl BatchRollout {
         tagged.sort_by_key(|(job, _, _)| *job);
         tagged.into_iter().map(|(_, _, ep)| ep).collect()
     }
-}
 
-/// One generation job for the pull-based [`BatchRollout::run_jobs`] engine.
-///
-/// Unlike [`BatchRollout::collect_tagged`] — where a lane's RNG stream spans
-/// every episode the lane produces — a job carries its **own** seed and gets
-/// a fresh RNG and a zeroed LSTM lane at assignment. Its token stream is
-/// therefore a pure function of `(weights, env, seed)`: independent of the
-/// batch width, of which lane it lands on, and of whatever co-tenant jobs
-/// share the batch. That is the determinism contract a serving batcher
-/// needs to coalesce unrelated requests without perturbing any of them.
-pub struct Job<'e, 'v: 'e> {
-    /// Environment the episode rolls out in. Jobs in one `run_jobs` call may
-    /// use different environments (constraints), but every environment must
-    /// expose the same action space as the actor vocabulary.
-    pub env: &'e SqlGenEnv<'v>,
-    /// Seed for this job's private RNG stream.
-    pub seed: u64,
-    /// Absolute deadline; once passed the job aborts mid-generation and is
-    /// reported as [`JobOutcome::Expired`].
-    pub deadline: Option<Instant>,
-    /// Caller-chosen id handed back with the outcome.
-    pub tag: u64,
-    /// Request trace to attribute this job's lane time to: an `episode`
-    /// span per job plus accumulated `estimator` and `refill` phases.
-    /// Untraced jobs (`None`) pay one branch per token and nothing else.
-    pub trace: Option<TraceHandle>,
-}
-
-/// Terminal state of one [`Job`].
-pub enum JobOutcome {
-    Done(Box<Episode>),
-    /// The deadline passed before the episode finished.
-    Expired,
-}
-
-/// One in-flight job owned by a lane (multi-env variant of [`LaneRun`]).
-struct JobRun<'e, 'v: 'e> {
-    env: &'e SqlGenEnv<'v>,
-    state: GenState<'v>,
-    shaper: RewardShaper,
-    actions: Vec<usize>,
-    rewards: Vec<f32>,
-    deadline: Option<Instant>,
-    tag: u64,
-    trace: Option<TraceHandle>,
-    /// When this job was assigned to its lane (traced jobs only).
-    assigned: Option<Instant>,
-    /// Accumulated `env.step` time — estimator-dominated (the shaped
-    /// reward's cardinality/cost probes), flushed to the trace once at
-    /// completion so the hot loop never touches the trace mutex.
-    est_us: f64,
-}
-
-impl JobRun<'_, '_> {
-    /// Flushes this job's trace attribution: the `episode` wall span plus
-    /// the accumulated `estimator` time and token count.
-    fn flush_trace(&self, tokens: usize) {
-        let Some(handle) = &self.trace else {
-            return;
-        };
-        let now = Instant::now();
-        if let Some(assigned) = self.assigned {
-            handle.span_between("episode", assigned, now);
-        }
-        handle.accum("estimator", self.est_us);
-        handle.trace.annotate_add("tokens", tokens as f64);
-    }
-}
-
-impl BatchRollout {
-    /// Runs jobs pulled from `source` through up to `lanes` lockstep lanes,
-    /// reporting each outcome to `sink` as it completes. A finishing (or
-    /// expiring) lane immediately pulls its next job — continuous refill —
-    /// so `source` may keep yielding work admitted after the call started
-    /// (a live request queue). Returns the number of episodes completed.
-    ///
-    /// Each assignment zeroes the lane (LSTM state, BOS input) and reseeds
-    /// its RNG from [`Job::seed`]; see [`Job`] for the determinism contract.
-    /// Outcome order is completion order, deterministic for a fixed job
-    /// stream (single-threaded lockstep has no scheduling freedom).
-    pub fn run_jobs<'e, 'v: 'e, A: InferActor + ?Sized>(
+    /// The lockstep loop: runs `jobs` in queue order and returns
+    /// `(tag, lane, outcome)` in completion order, where `lane` is the
+    /// logical lane the job ran on. Single-threaded lockstep has no
+    /// scheduling freedom, so the order is deterministic for fixed jobs.
+    fn run<'e, 'v: 'e, A: InferActor + ?Sized>(
         &mut self,
         actor: &A,
-        lanes: usize,
-        mut source: impl FnMut() -> Option<Job<'e, 'v>>,
-        mut sink: impl FnMut(u64, JobOutcome),
-    ) -> usize {
-        let b = lanes.max(1);
+        jobs: Vec<Job<'e, 'v>>,
+        mut rng_rule: LaneRngs<'_>,
+    ) -> Vec<(u64, usize, JobOutcome)> {
+        let (width, reseed) = match &rng_rule {
+            LaneRngs::Reseed(lanes) => ((*lanes).max(1), true),
+            LaneRngs::Carry(rngs) => (rngs.len(), false),
+        };
+        let b = width.min(jobs.len());
+        if b == 0 {
+            return Vec::new();
+        }
         let vocab = actor.vocab_size();
+        for job in &jobs {
+            assert_eq!(
+                job.env.action_space(),
+                vocab,
+                "job env action space must match the actor vocabulary"
+            );
+        }
+        let has_deadlines = jobs.iter().any(|job| job.deadline.is_some());
         self.state = actor.begin_batch(b);
         self.masks.clear();
         self.masks.resize(b * vocab, false);
         self.prev.clear();
         self.prev.resize(b, None);
         self.active.clear();
-        self.active.resize(b, false);
+        self.active.resize(b, true);
         self.actions.clear();
         self.actions.resize(b, 0);
         self.rngs.clear();
-        // Placeholder streams; every assignment reseeds its lane from the
-        // job's own seed before the lane draws anything.
-        self.rngs
-            .extend((0..b).map(|w| StdRng::seed_from_u64(w as u64)));
+        match &rng_rule {
+            // Placeholder streams: every assignment reseeds its lane first.
+            LaneRngs::Reseed(_) => self.rngs.resize(b, StdRng::seed_from_u64(0)),
+            LaneRngs::Carry(rngs) => self.rngs.extend_from_slice(&rngs[..b]),
+        }
 
-        let mut slots: Vec<Option<JobRun>> = (0..b).map(|_| None).collect();
-        let mut completed = 0usize;
-        for (lane, slot) in slots.iter_mut().enumerate() {
-            if !Self::refill_lane(
-                &mut source,
-                slot,
-                lane,
-                vocab,
+        let mut out = Vec::with_capacity(jobs.len());
+        let mut queue = jobs.into_iter();
+        // Physical slot `p` hosts the lane originally numbered `order[p]`:
+        // the lane reported with each outcome and, under `Carry`, the lane
+        // whose stream slot `p` carries.
+        let mut order: Vec<usize> = (0..b).collect();
+        let mut lanes: Vec<LaneRun> = Vec::with_capacity(b);
+        for p in 0..b {
+            let job = queue.next().expect("b <= jobs");
+            lanes.push(LaneRun::start(
+                job,
+                p,
+                reseed,
                 &mut self.state,
                 &mut self.prev,
                 &mut self.rngs,
-            ) {
-                break;
-            }
-            self.active[lane] = true;
+            ));
         }
+        // Slots whose job ended this iteration, in slot order, and the
+        // slots left without a job once the queue is empty.
+        let mut ended: Vec<(usize, JobOutcome)> = Vec::new();
+        let mut drained: Vec<usize> = Vec::new();
 
-        while self.active.iter().any(|&a| a) {
-            // Deadline sweep before spending another lockstep iteration.
-            // One clock read per iteration, and only when some lane has a
-            // deadline at all.
-            if slots.iter().flatten().any(|run| run.deadline.is_some()) {
-                let now = Instant::now();
-                for (lane, slot) in slots.iter_mut().enumerate() {
-                    let expired = slot
-                        .as_ref()
-                        .is_some_and(|run| run.deadline.is_some_and(|d| now >= d));
-                    if expired {
-                        let run = slot.take().expect("expired lane has a run");
-                        run.flush_trace(run.actions.len());
-                        sink(run.tag, JobOutcome::Expired);
-                        if !Self::refill_lane(
-                            &mut source,
-                            slot,
-                            lane,
-                            vocab,
+        loop {
+            for (p, outcome) in ended.drain(..) {
+                out.push((lanes[p].tag, order[p], outcome));
+                match queue.next() {
+                    Some(job) => {
+                        lanes[p] = LaneRun::start(
+                            job,
+                            p,
+                            reseed,
                             &mut self.state,
                             &mut self.prev,
                             &mut self.rngs,
-                        ) {
-                            self.active[lane] = false;
-                        }
+                        )
+                    }
+                    None => drained.push(p),
+                }
+            }
+            // Compact drained slots out, highest physical index first so
+            // each swap_remove only moves a still-live slot.
+            for &p in drained.iter().rev() {
+                lanes.swap_remove(p);
+                self.state.swap_remove_lane(p);
+                let rng = self.rngs.swap_remove(p);
+                if let LaneRngs::Carry(rngs) = &mut rng_rule {
+                    rngs[order[p]] = rng;
+                }
+                self.prev.swap_remove(p);
+                self.actions.swap_remove(p);
+                order.swap_remove(p);
+            }
+            drained.clear();
+            let w = lanes.len();
+            self.active.truncate(w);
+            if w == 0 {
+                break;
+            }
+
+            if has_deadlines {
+                // Deadline sweep before spending another lockstep
+                // iteration; expired jobs are retired (and their slots
+                // refilled) before any lane steps.
+                let now = Instant::now();
+                for (p, run) in lanes.iter().enumerate() {
+                    if run.deadline.is_some_and(|d| now >= d) {
+                        run.flush_trace(run.actions.len());
+                        ended.push((p, JobOutcome::Expired));
                     }
                 }
-                if !self.active.iter().any(|&a| a) {
-                    break;
+                if !ended.is_empty() {
+                    continue;
                 }
             }
 
             let start = sqlgen_obs::timing_enabled().then(Instant::now);
-            for (lane, slot) in slots.iter().enumerate() {
-                if self.active[lane] {
-                    slot.as_ref()
-                        .expect("active lane has a run")
-                        .state
-                        .mask_into_row(&mut self.masks, lane);
-                }
+            for (p, run) in lanes.iter().enumerate() {
+                run.state.mask_into_row(&mut self.masks, p);
             }
             actor.infer_step_batch(
                 &self.prev,
                 &self.active,
                 &mut self.state,
-                &self.masks,
+                &self.masks[..w * vocab],
                 &mut self.rngs,
                 &mut self.scratch,
                 &mut self.actions,
             );
-            let mut n_active = 0usize;
-            for (lane, slot) in slots.iter_mut().enumerate() {
-                if !self.active[lane] {
-                    continue;
-                }
-                n_active += 1;
-                let run = slot.as_mut().expect("active lane has a run");
-                let action = self.actions[lane];
+            for (p, run) in lanes.iter_mut().enumerate() {
+                let action = self.actions[p];
                 // Traced jobs time each env.step locally (estimator-
                 // dominated: the shaped reward's cardinality/cost probes);
                 // untraced jobs pay one branch, no clock read.
@@ -448,114 +404,52 @@ impl BatchRollout {
                 if let Some(t0) = step_t0 {
                     run.est_us += us_since(t0);
                 }
-                self.prev[lane] = Some(action);
+                self.prev[p] = Some(action);
                 run.actions.push(action);
                 run.rewards.push(reward);
                 if done {
-                    let mut run = slot.take().expect("active lane has a run");
                     let fin_t0 = run.trace.is_some().then(Instant::now);
-                    let ep = finish_episode(run.env, &run.state, run.actions, run.rewards);
+                    let actions = std::mem::take(&mut run.actions);
+                    let rewards = std::mem::take(&mut run.rewards);
+                    let ep = finish_episode(run.env, &run.state, actions, rewards);
                     if let Some(t0) = fin_t0 {
                         // finish_episode re-measures the final query; that
                         // probe is estimator time too.
                         run.est_us += us_since(t0);
                     }
-                    run.actions = Vec::new();
-                    run.rewards = Vec::new();
                     run.flush_trace(ep.actions.len());
-                    sink(run.tag, JobOutcome::Done(Box::new(ep)));
-                    completed += 1;
-                    if !Self::refill_lane(
-                        &mut source,
-                        slot,
-                        lane,
-                        vocab,
-                        &mut self.state,
-                        &mut self.prev,
-                        &mut self.rngs,
-                    ) {
-                        self.active[lane] = false;
-                    }
+                    ended.push((p, JobOutcome::Done(Box::new(ep))));
                 }
             }
-            sqlgen_obs::obs_record!("rl.batch.occupancy", n_active as f64);
+            sqlgen_obs::obs_record!("rl.batch.occupancy", w as f64);
             if let Some(start) = start {
                 // One histogram sample per emitted token (matching the
                 // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / n_active.max(1) as f64;
-                for _ in 0..n_active {
+                let us = us_since(start) / w as f64;
+                for _ in 0..w {
                     sqlgen_obs::obs_record!("rl.step.latency_us", us);
                 }
             }
         }
-        completed
-    }
-
-    /// Pulls the next job into an empty lane slot; `false` when the source
-    /// is (currently) dry.
-    fn refill_lane<'e, 'v: 'e>(
-        source: &mut impl FnMut() -> Option<Job<'e, 'v>>,
-        slot: &mut Option<JobRun<'e, 'v>>,
-        lane: usize,
-        vocab: usize,
-        state: &mut LstmBatchState,
-        prev: &mut [Option<usize>],
-        rngs: &mut [StdRng],
-    ) -> bool {
-        match source() {
-            Some(job) => {
-                assert_eq!(
-                    job.env.action_space(),
-                    vocab,
-                    "job env action space must match the actor vocabulary"
-                );
-                let t0 = job.trace.is_some().then(Instant::now);
-                state.reset_lane(lane);
-                prev[lane] = None;
-                rngs[lane] = StdRng::seed_from_u64(job.seed);
-                *slot = Some(JobRun {
-                    state: job.env.reset(),
-                    env: job.env,
-                    shaper: RewardShaper::new(),
-                    actions: Vec::new(),
-                    rewards: Vec::new(),
-                    deadline: job.deadline,
-                    tag: job.tag,
-                    assigned: t0,
-                    est_us: 0.0,
-                    trace: job.trace,
-                });
-                if let (Some(t0), Some(run)) = (t0, slot.as_ref()) {
-                    // Lane reset + reseed + env reset on behalf of the
-                    // incoming job.
-                    if let Some(handle) = &run.trace {
-                        handle.accum("refill", us_since(t0));
-                    }
-                }
-                true
-            }
-            None => false,
-        }
+        out
     }
 }
 
-/// Runs a batch of seeded jobs to completion and returns `(tag, outcome)`
-/// pairs in completion order. Convenience wrapper over
-/// [`BatchRollout::run_jobs`] for callers with a fixed job list.
+/// Runs a batch of seeded jobs on up to `lanes` lockstep lanes and returns
+/// `(tag, outcome)` pairs in completion order. Every assignment zeroes the
+/// lane and reseeds its RNG from [`Job::seed`], so each job's episode is a
+/// pure function of `(weights, env, seed)` — the contract a server needs to
+/// coalesce unrelated requests without perturbing any of them.
 pub fn run_jobs_batched<'e, 'v: 'e, A: InferActor + ?Sized>(
     actor: &A,
     jobs: Vec<Job<'e, 'v>>,
     lanes: usize,
 ) -> Vec<(u64, JobOutcome)> {
-    let mut queue = std::collections::VecDeque::from(jobs);
-    let mut out = Vec::with_capacity(queue.len());
-    BatchRollout::new().run_jobs(
-        actor,
-        lanes,
-        || queue.pop_front(),
-        |tag, outcome| out.push((tag, outcome)),
-    );
-    out
+    BatchRollout::new()
+        .run(actor, jobs, LaneRngs::Reseed(lanes))
+        .into_iter()
+        .map(|(tag, _, outcome)| (tag, outcome))
+        .collect()
 }
 
 #[cfg(test)]
@@ -741,42 +635,6 @@ mod tests {
             }
         }
         assert_eq!((done, expired), (1, 2));
-    }
-
-    /// The source is consulted again after every completion, so jobs
-    /// admitted "live" (after the call started) still run — the continuous
-    /// refill contract a serving batcher relies on.
-    #[test]
-    fn source_is_polled_continuously() {
-        let (db, vocab) = setup();
-        let est = Estimator::build(&db);
-        let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(1.0, 500.0));
-        let actor = actor_for(&vocab);
-        // Yield jobs one at a time; the queue "arrives" while earlier jobs
-        // are in flight.
-        let mut next = 0u64;
-        let mut outcomes = Vec::new();
-        let completed = BatchRollout::new().run_jobs(
-            &actor,
-            2,
-            || {
-                if next < 5 {
-                    next += 1;
-                    Some(Job {
-                        env: &env,
-                        seed: next,
-                        deadline: None,
-                        tag: next,
-                        trace: None,
-                    })
-                } else {
-                    None
-                }
-            },
-            |tag, outcome| outcomes.push((tag, outcome)),
-        );
-        assert_eq!(completed, 5);
-        assert_eq!(outcomes.len(), 5);
     }
 
     /// After an EOS → refill, the refilled lane must carry its own job's

@@ -54,6 +54,23 @@ pub struct Constraint {
 pub const POINT_TOLERANCE: f64 = 0.1;
 
 impl Constraint {
+    /// Builds a constraint from untrusted values (CLI flags, request
+    /// bodies): every target value must be a finite number `>= 0`, and a
+    /// range needs `min <= max`.
+    pub fn checked(metric: Metric, target: Target) -> Result<Constraint, String> {
+        let (lo, hi) = match target {
+            Target::Point(p) => (p, p),
+            Target::Range(lo, hi) => (lo, hi),
+        };
+        if !(lo.is_finite() && hi.is_finite() && lo >= 0.0 && hi >= 0.0) {
+            return Err("constraint values must be finite numbers >= 0".to_string());
+        }
+        if lo > hi {
+            return Err("constraint min > max".to_string());
+        }
+        Ok(Constraint { metric, target })
+    }
+
     pub fn cardinality_point(c: f64) -> Self {
         Constraint {
             metric: Metric::Cardinality,

@@ -85,9 +85,11 @@ pub trait InferActor {
     fn vocab_size(&self) -> usize;
     /// Allocates a zeroed batched LSTM state for `batch` lanes.
     fn begin_batch(&self, batch: usize) -> LstmBatchState;
-    /// One batched inference step over lockstep lanes. Exactly one uniform
-    /// draw per *active* lane — inactive lanes ride through the GEMMs but
-    /// never touch their RNG (see [`ActorNet::infer_step_batch`]).
+    /// One batched inference step over lockstep lanes: exactly one uniform
+    /// draw per lane marked `active`. The engine compacts finished lanes
+    /// out of the batch instead of passing them inactive, so it always
+    /// marks every lane active; a lane marked inactive would draw nothing
+    /// (see [`ActorNet::infer_step_batch`]).
     #[allow(clippy::too_many_arguments)]
     fn infer_step_batch(
         &self,
@@ -504,7 +506,8 @@ impl ActorNet {
 
     /// One batched **training** step over `batch` lockstep lanes: like
     /// [`ActorNet::infer_step_batch`] but with dropout and per-lane
-    /// backward caches recorded into `steps[lane]`. Per active lane the
+    /// backward caches recorded into step `t` of lane `lane`'s arena,
+    /// `steps[lane][t]`. Per active lane the
     /// recorded step (caches, dropout mask, probabilities, action) is
     /// bit-identical to a serial [`ActorNet::step_into`] fed the same
     /// inputs and RNG: the RNG draw order per lane is dropout mask draws
@@ -523,7 +526,8 @@ impl ActorNet {
         masks: &[bool],
         rngs: &mut [R],
         scratch: &mut BatchScratch,
-        steps: &mut [&mut ActorStep],
+        steps: &mut [Vec<ActorStep>],
+        t: usize,
         actions: &mut [usize],
     ) {
         let batch = state.batch;
@@ -545,12 +549,13 @@ impl ActorNet {
                 }
             }
             if active[lane] {
-                steps[lane].input_token = token;
+                steps[lane][t].input_token = token;
             }
         }
         // Inactive lanes still ride through the batched LSTM step, so
         // every lane needs a correctly shaped (if unused) cache slot.
-        for step in steps.iter_mut() {
+        for arena in steps.iter_mut() {
+            let step = &mut arena[t];
             if step.caches.len() != self.lstm.layers.len() {
                 step.caches = self.lstm.empty_cache();
             }
@@ -558,7 +563,7 @@ impl ActorNet {
         scratch.z.resize(self.lstm.batch_scratch_len(batch), 0.0);
         {
             let mut caches: Vec<&mut StackCache> =
-                steps.iter_mut().map(|s| &mut s.caches).collect();
+                steps.iter_mut().map(|arena| &mut arena[t].caches).collect();
             self.lstm.forward_step_batch_into(
                 &scratch.x,
                 state,
@@ -574,7 +579,7 @@ impl ActorNet {
             if !active[lane] {
                 continue;
             }
-            let step = &mut *steps[lane];
+            let step = &mut steps[lane][t];
             step.top.clear();
             step.top
                 .extend_from_slice(&top[lane * hidden..(lane + 1) * hidden]);
@@ -591,7 +596,7 @@ impl ActorNet {
             }
             let row = &scratch.probs[lane * self.vocab_size..(lane + 1) * self.vocab_size];
             let mask = &masks[lane * self.vocab_size..(lane + 1) * self.vocab_size];
-            let step = &mut *steps[lane];
+            let step = &mut steps[lane][t];
             step.probs.clear();
             step.probs.extend_from_slice(row);
             masked_softmax(&mut step.probs, mask);
@@ -1059,10 +1064,12 @@ impl CriticNet {
     /// One batched critic step over lockstep lanes: mirrors
     /// [`CriticNet::step_into`] per active lane (dropout draws from the
     /// lane's own RNG, then the scalar head), recording backward caches
-    /// into `steps[lane]`. The scalar head is evaluated per lane — at
+    /// into `steps[lane][t]`. The scalar head is evaluated per lane — at
     /// `hidden → 1` there is nothing to amortize; the batching win is the
     /// LSTM forward. Inactive lanes ride through the GEMMs and draw no
     /// RNG.
+    // Hot path: split borrows of the rollout, as in `train_step_batch`.
+    #[allow(clippy::too_many_arguments)]
     pub fn forward_step_batch<R: Rng>(
         &self,
         prev: &[Option<usize>],
@@ -1070,7 +1077,8 @@ impl CriticNet {
         state: &mut LstmBatchState,
         rngs: &mut [R],
         scratch: &mut BatchScratch,
-        steps: &mut [&mut CriticStep],
+        steps: &mut [Vec<CriticStep>],
+        t: usize,
     ) {
         let batch = state.batch;
         debug_assert_eq!(prev.len(), batch);
@@ -1089,12 +1097,13 @@ impl CriticNet {
                 }
             }
             if active[lane] {
-                steps[lane].input_token = token;
+                steps[lane][t].input_token = token;
             }
         }
         // Inactive lanes still ride through the batched LSTM step, so
         // every lane needs a correctly shaped (if unused) cache slot.
-        for step in steps.iter_mut() {
+        for arena in steps.iter_mut() {
+            let step = &mut arena[t];
             if step.caches.len() != self.lstm.layers.len() {
                 step.caches = self.lstm.empty_cache();
             }
@@ -1102,7 +1111,7 @@ impl CriticNet {
         scratch.z.resize(self.lstm.batch_scratch_len(batch), 0.0);
         {
             let mut caches: Vec<&mut StackCache> =
-                steps.iter_mut().map(|s| &mut s.caches).collect();
+                steps.iter_mut().map(|arena| &mut arena[t].caches).collect();
             self.lstm.forward_step_batch_into(
                 &scratch.x,
                 state,
@@ -1117,7 +1126,7 @@ impl CriticNet {
             if !active[lane] {
                 continue;
             }
-            let step = &mut *steps[lane];
+            let step = &mut steps[lane][t];
             step.top.clear();
             step.top
                 .extend_from_slice(&top[lane * hidden..(lane + 1) * hidden]);

@@ -117,14 +117,19 @@ impl TrainRollout {
             })
             .collect();
         let mut out: Vec<Option<Episode>> = (0..b).map(|_| None).collect();
-        // Physical slot `p` → logical lane `order[p]`.
+        // Physical slot `p` → logical lane `order[p]`; slots `..w` are live.
+        // Each lane's step arena travels with its slot (`arenas[p]`) and
+        // goes back to lane order at the end.
         let mut order: Vec<usize> = (0..b).collect();
+        let mut arenas: Vec<Vec<ActorStep>> =
+            self.steps[..b].iter_mut().map(std::mem::take).collect();
+        let mut done_slots: Vec<usize> = Vec::new();
 
         let mut t = 0usize;
-        while !order.is_empty() {
-            let w = order.len();
+        let mut w = b;
+        while w > 0 {
             let start = sqlgen_obs::timing_enabled().then(std::time::Instant::now);
-            for (p, &lane) in order.iter().enumerate() {
+            for (p, &lane) in order[..w].iter().enumerate() {
                 runs[lane]
                     .as_ref()
                     .expect("live lane has a run")
@@ -133,37 +138,24 @@ impl TrainRollout {
             }
             // Every live lane gets an arena slot at `t` (the arena reaches
             // the longest episode's length and is then reused verbatim).
-            for &lane in &order {
-                let arena = &mut self.steps[lane];
+            for arena in &mut arenas[..w] {
                 while arena.len() <= t {
                     arena.push(ActorStep::default());
                 }
             }
-            {
-                // Permuted mutable arena borrows: each live lane's slot is
-                // taken exactly once, in physical-slot order.
-                let mut slots: Vec<Option<&mut Vec<ActorStep>>> =
-                    self.steps[..b].iter_mut().map(Some).collect();
-                let mut cur: Vec<&mut ActorStep> = order
-                    .iter()
-                    .map(|&lane| {
-                        let arena = slots[lane].take().expect("lanes are distinct");
-                        &mut arena[t]
-                    })
-                    .collect();
-                actor.train_step_batch(
-                    &self.prev[..w],
-                    &self.active[..w],
-                    &mut self.state,
-                    &self.masks[..w * vocab],
-                    &mut self.rngs[..w],
-                    &mut self.scratch,
-                    &mut cur,
-                    &mut self.actions[..w],
-                );
-            }
-            let mut done_slots: Vec<usize> = Vec::new();
-            for (p, &lane) in order.iter().enumerate() {
+            actor.train_step_batch(
+                &self.prev[..w],
+                &self.active[..w],
+                &mut self.state,
+                &self.masks[..w * vocab],
+                &mut self.rngs[..w],
+                &mut self.scratch,
+                &mut arenas[..w],
+                t,
+                &mut self.actions[..w],
+            );
+            done_slots.clear();
+            for (p, &lane) in order[..w].iter().enumerate() {
                 let run = runs[lane].as_mut().expect("live lane has a run");
                 let action = self.actions[p];
                 let (reward, done) = env.step(&mut run.state, action, &mut run.shaper);
@@ -183,25 +175,32 @@ impl TrainRollout {
                 }
             }
             // Compact finished slots out, highest physical index first so
-            // each swap_remove only moves a still-live slot.
+            // each swap only moves a still-live slot; the finished slot's
+            // arena and lane land just past the live prefix.
+            let live = w;
             for &p in done_slots.iter().rev() {
                 self.state.swap_remove_lane(p);
                 rngs[order[p]] = self.rngs.swap_remove(p);
                 self.prev.swap_remove(p);
                 self.actions.swap_remove(p);
-                order.swap_remove(p);
+                arenas.swap(p, w - 1);
+                order.swap(p, w - 1);
+                w -= 1;
             }
-            self.active.truncate(order.len());
-            sqlgen_obs::obs_record!("rl.batch.occupancy", w as f64);
+            self.active.truncate(w);
+            sqlgen_obs::obs_record!("rl.batch.occupancy", live as f64);
             if let Some(start) = start {
                 // One histogram sample per emitted token (matching the
                 // serial path's count contract) at the amortized cost.
-                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / w.max(1) as f64;
-                for _ in 0..w {
+                let us = start.elapsed().as_nanos() as f64 / 1_000.0 / live as f64;
+                for _ in 0..live {
                     sqlgen_obs::obs_record!("rl.step.latency_us", us);
                 }
             }
             t += 1;
+        }
+        for (arena, &lane) in arenas.into_iter().zip(&order) {
+            self.steps[lane] = arena;
         }
         out.into_iter()
             .map(|e| e.expect("every lane finished an episode"))
@@ -230,9 +229,15 @@ impl TrainRollout {
             self.csteps.resize_with(b, Vec::new);
         }
         let max_t = self.lens[..b].iter().copied().max().unwrap_or(0);
-        // Physical slot `p` → logical lane `order[p]`, longest first.
+        // Physical slot `p` → logical lane `order[p]`, longest first. Each
+        // lane's critic arena is moved into its slot (`arenas[p]`) for the
+        // loop and back to lane order after it.
         let order = sqlgen_nn::ragged_order(&self.lens[..b]);
         let mut prngs: Vec<StdRng> = order.iter().map(|&lane| crngs[lane].clone()).collect();
+        let mut arenas: Vec<Vec<CriticStep>> = order
+            .iter()
+            .map(|&lane| std::mem::take(&mut self.csteps[lane]))
+            .collect();
         self.prev.clear();
         self.prev.resize(b, None);
         self.active.clear();
@@ -249,28 +254,23 @@ impl TrainRollout {
                 } else {
                     Some(tok)
                 };
-                let arena = &mut self.csteps[lane];
+                let arena = &mut arenas[p];
                 while arena.len() <= t {
                     arena.push(CriticStep::default());
                 }
             }
-            let mut slots: Vec<Option<&mut Vec<CriticStep>>> =
-                self.csteps[..b].iter_mut().map(Some).collect();
-            let mut cur: Vec<&mut CriticStep> = order[..n_active]
-                .iter()
-                .map(|&lane| {
-                    let arena = slots[lane].take().expect("lanes are distinct");
-                    &mut arena[t]
-                })
-                .collect();
             critic.forward_step_batch(
                 &self.prev[..n_active],
                 &self.active[..n_active],
                 &mut self.cstate,
                 &mut prngs[..n_active],
                 &mut self.scratch,
-                &mut cur,
+                &mut arenas[..n_active],
+                t,
             );
+        }
+        for (arena, &lane) in arenas.into_iter().zip(&order) {
+            self.csteps[lane] = arena;
         }
     }
 }

@@ -9,10 +9,13 @@
 //! - [`queue`] — bounded admission queue; overflow becomes `429` +
 //!   `Retry-After` instead of unbounded buffering.
 //! - [`batcher`] — the pure generation window: request parsing, the
-//!   per-database [`Schema`] and [`run_window`], which runs coalesced
-//!   requests on lockstep lanes with per-request deadlines. Responses are
-//!   bitwise-identical to unbatched generation for the same seed (the
-//!   `serve-equivalence` fuzz family).
+//!   per-database [`Schema`] and [`run_window`], which builds each
+//!   request's environment and runs the window through
+//!   [`sqlgen_core::generate_window`] — the one seeded pipeline (lockstep
+//!   lanes, per-request deadlines, refinement, resampling) that
+//!   `LearnedSqlGen::generate_seeded` runs too. Responses are
+//!   bitwise-identical to `generate_seeded` and to solo generation for the
+//!   same seed (the `serve-equivalence` fuzz family).
 //! - [`registry`] — versioned checkpoint registry with atomic hot-swap.
 //! - [`cache`] — sharded LRU over rendered response bodies, keyed on the
 //!   purity tuple `(model-version, schema, seed, constraint, n)`.

@@ -10,7 +10,9 @@
 //! sqlgen serve --addr 127.0.0.1:8080 --batch 8 --max-queue 64 --shards 2
 //! ```
 
-use learned_sqlgen::core::{profile, Constraint, ExecBudget, ExecDb, GenConfig, LearnedSqlGen};
+use learned_sqlgen::core::{
+    profile, Constraint, ExecBudget, ExecDb, GenConfig, LearnedSqlGen, Metric, Target,
+};
 use learned_sqlgen::engine::{ExecOptions, StatementKind};
 use learned_sqlgen::fsm::FsmConfig;
 use learned_sqlgen::storage::gen::Benchmark;
@@ -23,9 +25,7 @@ struct Args {
     benchmark: Benchmark,
     scale: f64,
     seed: u64,
-    metric: String,
-    point: Option<f64>,
-    range: Option<(f64, f64)>,
+    constraint: Constraint,
     n: usize,
     train: usize,
     batch: usize,
@@ -82,9 +82,7 @@ fn parse_args() -> Args {
         benchmark: Benchmark::TpcH,
         scale: 0.3,
         seed: 42,
-        metric: "card".into(),
-        point: None,
-        range: None,
+        constraint: Constraint::cardinality_point(0.0),
         n: 10,
         train: 500,
         batch: 1,
@@ -102,6 +100,9 @@ fn parse_args() -> Args {
         quiet: false,
         json: false,
     };
+    let mut metric = String::from("card");
+    let mut point: Option<f64> = None;
+    let mut range: Option<(f64, f64)> = None;
     let mut it = std::env::args().skip(1);
     let fail = |m: &str| -> ! {
         eprintln!("error: {m}\n\n{USAGE}");
@@ -120,10 +121,8 @@ fn parse_args() -> Args {
             }
             "--scale" => args.scale = value("--scale").parse().unwrap_or_else(|_| fail("--scale")),
             "--seed" => args.seed = value("--seed").parse().unwrap_or_else(|_| fail("--seed")),
-            "--metric" => args.metric = value("--metric"),
-            "--point" => {
-                args.point = Some(value("--point").parse().unwrap_or_else(|_| fail("--point")))
-            }
+            "--metric" => metric = value("--metric"),
+            "--point" => point = Some(value("--point").parse().unwrap_or_else(|_| fail("--point"))),
             "--range" => {
                 let lo = value("--range")
                     .parse()
@@ -131,7 +130,7 @@ fn parse_args() -> Args {
                 let hi = value("--range")
                     .parse()
                     .unwrap_or_else(|_| fail("--range hi"));
-                args.range = Some((lo, hi));
+                range = Some((lo, hi));
             }
             "--n" => args.n = value("--n").parse().unwrap_or_else(|_| fail("--n")),
             "--train" => args.train = value("--train").parse().unwrap_or_else(|_| fail("--train")),
@@ -173,16 +172,32 @@ fn parse_args() -> Args {
             other => fail(&format!("unknown flag {other}")),
         }
     }
-    if args.point.is_none() && args.range.is_none() {
-        fail("one of --point or --range is required");
-    }
-    if args.point.is_some() && args.range.is_some() {
-        fail("--point and --range are mutually exclusive");
-    }
+    args.constraint = flag_constraint(&metric, point, range).unwrap_or_else(|e| fail(&e));
     if args.reward != "est" && args.reward != "exec" {
         fail("--reward must be est or exec");
     }
     args
+}
+
+/// The constraint named by `--metric` and `--point`/`--range`, with its
+/// values checked by [`Constraint::checked`].
+fn flag_constraint(
+    metric: &str,
+    point: Option<f64>,
+    range: Option<(f64, f64)>,
+) -> Result<Constraint, String> {
+    let metric = match metric {
+        "card" => Metric::Cardinality,
+        "cost" => Metric::Cost,
+        m => return Err(format!("unknown metric {m} (card|cost)")),
+    };
+    let target = match (point, range) {
+        (Some(p), None) => Target::Point(p),
+        (None, Some((lo, hi))) => Target::Range(lo, hi),
+        (None, None) => return Err("one of --point or --range is required".to_string()),
+        (Some(_), Some(_)) => return Err("--point and --range are mutually exclusive".to_string()),
+    };
+    Constraint::checked(metric, target)
 }
 
 /// Renders one generated query as a single JSON object line.
@@ -427,16 +442,7 @@ fn serve_main(argv: Vec<String>) -> ! {
     );
 
     if train > 0 {
-        let constraint = match (metric.as_str(), point, range) {
-            ("card", Some(p), _) => Constraint::cardinality_point(p),
-            ("card", _, Some((lo, hi))) => Constraint::cardinality_range(lo, hi),
-            ("cost", Some(p), _) => Constraint::cost_point(p),
-            ("cost", _, Some((lo, hi))) => Constraint::cost_range(lo, hi),
-            ("card" | "cost", None, None) => {
-                fail("--train needs a training constraint (--point or --range)")
-            }
-            (m, _, _) => fail(&format!("unknown metric {m} (card|cost)")),
-        };
+        let constraint = flag_constraint(&metric, point, range).unwrap_or_else(|e| fail(&e));
         obs_info!("training {train} episodes for {constraint} before serving ...");
         let mut generator = LearnedSqlGen::new(&db, constraint, gen_config.clone());
         generator.train(train);
@@ -569,16 +575,7 @@ fn main() {
         sqlgen_obs::install_sink(Arc::new(sink));
     }
 
-    let constraint = match (args.metric.as_str(), args.point, args.range) {
-        ("card", Some(p), _) => Constraint::cardinality_point(p),
-        ("card", _, Some((lo, hi))) => Constraint::cardinality_range(lo, hi),
-        ("cost", Some(p), _) => Constraint::cost_point(p),
-        ("cost", _, Some((lo, hi))) => Constraint::cost_range(lo, hi),
-        (m, _, _) => {
-            obs_error!("unknown metric {m} (card|cost)");
-            exit(2);
-        }
-    };
+    let constraint = args.constraint;
 
     // The store the generator trains against: a cold-started paged image
     // (`--db-file`) or the freshly generated in-memory benchmark. Both go

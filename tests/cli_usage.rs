@@ -1,5 +1,6 @@
 //! The `sqlgen` generate and serve paths reject retired and unknown flags
-//! with their usage text and exit status 2, before doing any work.
+//! and bad constraint values with their usage text and exit status 2,
+//! before doing any work.
 
 use std::process::Command;
 
@@ -36,4 +37,19 @@ fn serve_rejects_retired_pool_flag_with_usage() {
     assert_eq!(code, Some(2));
     assert!(err.contains("unknown serve flag --legacy-pool"), "{err}");
     assert!(err.contains("sqlgen serve [flags]"), "{err}");
+}
+
+#[test]
+fn bad_constraint_values_exit_with_usage() {
+    for args in [
+        &["--range", "500", "100"][..],
+        &["--range", "nan", "100"],
+        &["--point", "nan"],
+        &["--range", "1", "inf"],
+    ] {
+        let (code, err) = run(args);
+        assert_eq!(code, Some(2), "{args:?}: {err}");
+        assert!(err.contains("constraint"), "{args:?}: {err}");
+        assert!(err.contains("USAGE"), "{args:?}: {err}");
+    }
 }
