@@ -1,20 +1,46 @@
 //! End-to-end pipeline determinism: `GenConfig::fast().with_seed(5)` must
 //! reproduce the pre-kernel-rewrite reward trace (exact f32 bits) and the
-//! rendered SQL of the first generated queries. The fixture was dumped by
-//! `examples/golden_dump.rs` from the original serial implementation.
+//! rendered SQL of the first generated queries, and the trained policy of
+//! both algorithms must serialize to the same checkpoint bytes (64-bit
+//! FNV-1a digest). The fixture was dumped by `examples/golden_dump.rs`
+//! from the original serial implementation.
 
-use sqlgen_core::{GenConfig, LearnedSqlGen};
+use sqlgen_core::{Algorithm, GenConfig, LearnedSqlGen};
 use sqlgen_rl::Constraint;
 use sqlgen_storage::gen::tpch_database;
 
-#[test]
-fn fast_config_pipeline_matches_golden_fixture() {
+fn fixture() -> serde_json::Value {
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/fixtures/golden_pipeline.json"
     );
     let text = std::fs::read_to_string(path).expect("golden fixture present");
-    let v: serde_json::Value = serde_json::from_str(&text).expect("fixture parses");
+    serde_json::from_str(&text).expect("fixture parses")
+}
+
+/// The fixture's `checkpoint_digest` entry for `algorithm`.
+fn want_digest(v: &serde_json::Value, algorithm: &str) -> String {
+    v.get("checkpoint_digest")
+        .and_then(|d| d.get(algorithm))
+        .and_then(|d| d.as_str())
+        .unwrap_or_else(|| panic!("checkpoint_digest.{algorithm}"))
+        .to_string()
+}
+
+/// 64-bit FNV-1a of the rendered checkpoint, as hex.
+fn checkpoint_digest(g: &LearnedSqlGen) -> String {
+    let h = g
+        .save_checkpoint()
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+    format!("{h:016x}")
+}
+
+#[test]
+fn fast_config_pipeline_matches_golden_fixture() {
+    let v = fixture();
     let want_bits: Vec<u32> = v
         .get("reward_trace_bits")
         .expect("reward_trace_bits")
@@ -46,6 +72,33 @@ fn fast_config_pipeline_matches_golden_fixture() {
 
     let got_sql: Vec<String> = g.generate(8).into_iter().map(|q| q.sql).collect();
     assert_eq!(got_sql, want_sql, "generated SQL drifted");
+    assert_eq!(
+        checkpoint_digest(&g),
+        want_digest(&v, "actor-critic"),
+        "actor-critic checkpoint bytes drifted"
+    );
+}
+
+/// REINFORCE on the same config: the trained actor (and the absent
+/// critic) must serialize to the fixture's checkpoint bytes.
+#[test]
+fn reinforce_checkpoint_matches_golden_digest() {
+    let v = fixture();
+    let db = tpch_database(0.2, 21);
+    let mut g = LearnedSqlGen::new(
+        &db,
+        Constraint::cardinality_range(100.0, 500.0),
+        GenConfig::fast()
+            .with_seed(5)
+            .with_refine(false)
+            .with_algorithm(Algorithm::Reinforce),
+    );
+    g.train(60);
+    assert_eq!(
+        checkpoint_digest(&g),
+        want_digest(&v, "reinforce"),
+        "reinforce checkpoint bytes drifted"
+    );
 }
 
 /// Int8 quantized inference is allowed to sample slightly different token
