@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sqlgen_bench::TestBed;
-use sqlgen_rl::{ActorCritic, Constraint, MetaCriticTrainer, NetConfig, Reinforce, TrainConfig};
+use sqlgen_rl::{ActorCritic, Constraint, MetaCriticTrainer, NetConfig, TrainConfig};
 use sqlgen_storage::gen::Benchmark;
 use std::hint::black_box;
 
@@ -29,7 +29,7 @@ fn bench_rl(c: &mut Criterion) {
     let mut group = c.benchmark_group("rl_train_episode");
     group.sample_size(10);
 
-    let mut reinforce = Reinforce::new(bed.vocab.size(), cfg(1));
+    let mut reinforce = ActorCritic::reinforce(bed.vocab.size(), cfg(1));
     group.bench_function("reinforce", |b| {
         b.iter(|| black_box(reinforce.train(&env, 1, 1)[0].total_reward()))
     });

@@ -6,7 +6,7 @@
 
 use sqlgen_bench::table::{pct, secs};
 use sqlgen_bench::{write_csv, HarnessArgs, Table, TestBed};
-use sqlgen_rl::{ActorCritic, Constraint, NetConfig, Reinforce, SqlGenEnv, TrainConfig};
+use sqlgen_rl::{ActorCritic, Constraint, NetConfig, SqlGenEnv, TrainConfig};
 use sqlgen_storage::gen::Benchmark;
 use std::time::Instant;
 
@@ -23,35 +23,14 @@ fn train_cfg(seed: u64) -> TrainConfig {
     }
 }
 
-enum Algo {
-    Reinforce(Box<Reinforce>),
-    ActorCritic(Box<ActorCritic>),
-}
-
-impl Algo {
-    fn train_episode(&mut self, env: &SqlGenEnv) -> sqlgen_rl::Episode {
-        match self {
-            Algo::Reinforce(t) => t.train(env, 1, 1).remove(0),
-            Algo::ActorCritic(t) => t.train(env, 1, 1).remove(0),
-        }
-    }
-
-    fn generate(&mut self, env: &SqlGenEnv) -> sqlgen_rl::Episode {
-        match self {
-            Algo::Reinforce(t) => t.generate(None, env, 1, 1).remove(0),
-            Algo::ActorCritic(t) => t.generate(None, env, 1, 1).remove(0),
-        }
-    }
-}
-
 /// Trains, then reports (accuracy over n, time to n satisfied, reward trace).
-fn run(mut algo: Algo, env: &SqlGenEnv, train: usize, n: usize) -> (f64, f64, Vec<f32>) {
+fn run(mut algo: ActorCritic, env: &SqlGenEnv, train: usize, n: usize) -> (f64, f64, Vec<f32>) {
     let start = Instant::now();
     let mut trace = Vec::with_capacity(train);
     let mut found = 0usize;
     let mut time_to_n = None;
     for _ in 0..train {
-        let ep = algo.train_episode(env);
+        let ep = algo.train(env, 1, 1).remove(0);
         trace.push(ep.total_reward() / ep.len().max(1) as f32);
         if ep.satisfied {
             found += 1;
@@ -63,7 +42,7 @@ fn run(mut algo: Algo, env: &SqlGenEnv, train: usize, n: usize) -> (f64, f64, Ve
     // Accuracy of the trained policy.
     let mut hits = 0;
     for _ in 0..n {
-        if algo.generate(env).satisfied {
+        if algo.generate(None, env, 1, 1).remove(0).satisfied {
             hits += 1;
         }
     }
@@ -73,7 +52,7 @@ fn run(mut algo: Algo, env: &SqlGenEnv, train: usize, n: usize) -> (f64, f64, Ve
         let budget = n * 200;
         while found < n && extra < budget {
             extra += 1;
-            if algo.generate(env).satisfied {
+            if algo.generate(None, env, 1, 1).remove(0).satisfied {
                 found += 1;
             }
         }
@@ -122,20 +101,15 @@ fn main() {
         sqlgen_obs::obs_info!("[fig8] {label}");
         let constraint = Constraint::cardinality_range(lo, hi);
         let env = bed.env(constraint);
+        let vocab = bed.vocab.size();
         let (acc_r, t_r, trace_r) = run(
-            Algo::Reinforce(Box::new(Reinforce::new(
-                bed.vocab.size(),
-                train_cfg(args.seed),
-            ))),
+            ActorCritic::reinforce(vocab, train_cfg(args.seed)),
             &env,
             args.train,
             args.n,
         );
         let (acc_a, t_a, trace_a) = run(
-            Algo::ActorCritic(Box::new(ActorCritic::new(
-                bed.vocab.size(),
-                train_cfg(args.seed),
-            ))),
+            ActorCritic::new(vocab, train_cfg(args.seed)),
             &env,
             args.train,
             args.n,

@@ -19,7 +19,7 @@
 //! so a concurrently-scanning model registry never observes a torn file.
 
 use serde::{Deserialize, Serialize};
-use sqlgen_rl::{ActorNet, Constraint, CriticNet, NetConfig, QuantizedActor};
+use sqlgen_rl::{ActorNet, Constraint, CriticNet, LstmNet, NetConfig, QuantizedActor};
 use std::fmt;
 use std::path::Path;
 
@@ -49,6 +49,14 @@ pub enum CheckpointError {
         /// Index of the tensor in the network's parameter order.
         tensor: usize,
     },
+    /// A network's tensors do not fit together (see
+    /// [`LstmNet::check_shape`]); running it would index out of bounds.
+    Shape {
+        /// `"actor"` or `"critic"`.
+        network: &'static str,
+        /// What does not fit.
+        detail: String,
+    },
     /// Filesystem error while reading or (atomically) writing.
     Io(String),
 }
@@ -72,6 +80,9 @@ impl fmt::Display for CheckpointError {
                 f,
                 "checkpoint {network} tensor #{tensor} holds a non-finite weight (NaN or inf)"
             ),
+            CheckpointError::Shape { network, detail } => {
+                write!(f, "checkpoint {network} is malformed: {detail}")
+            }
             CheckpointError::Io(e) => write!(f, "checkpoint io: {e}"),
         }
     }
@@ -130,16 +141,17 @@ impl Checkpoint {
     }
 
     /// Parses either a versioned checkpoint or legacy bare-actor JSON.
-    /// Every weight must be finite; buffers are restored and the result is
-    /// ready to run. Every load path — CLI, `serve --checkpoint`, registry
-    /// hot-swap — goes through here.
+    /// Every network must be consistently shaped (the actor's head spans
+    /// its vocabulary, the critic's is one unit) and every weight finite;
+    /// buffers are restored and the result is ready to run. Every load
+    /// path — CLI, `serve --checkpoint`, registry hot-swap — goes through
+    /// here.
     pub fn parse(text: &str) -> Result<Checkpoint, CheckpointError> {
         let mut ckpt = Self::parse_raw(text)?;
-        check_finite("actor", ckpt.actor.params_mut())?;
-        ckpt.actor.restore_buffers();
+        let vocab = ckpt.actor.vocab_size;
+        make_ready("actor", &mut ckpt.actor, vocab)?;
         if let Some(critic) = &mut ckpt.critic {
-            check_finite("critic", critic.params_mut())?;
-            critic.restore_buffers();
+            make_ready("critic", critic, 1)?;
         }
         Ok(ckpt)
     }
@@ -199,18 +211,25 @@ impl Checkpoint {
     }
 }
 
-/// Rejects a network whose weights hold any NaN or ±inf.
-fn check_finite(
+/// Rejects a network with a `head`-wide output layer whose tensors do not
+/// fit together or whose weights hold any NaN or ±inf; restores its
+/// buffers otherwise.
+fn make_ready(
     network: &'static str,
-    params: Vec<&mut sqlgen_nn::Param>,
+    net: &mut LstmNet,
+    head: usize,
 ) -> Result<(), CheckpointError> {
-    match params
+    net.check_shape(head)
+        .map_err(|detail| CheckpointError::Shape { network, detail })?;
+    if let Some(tensor) = net
+        .params_mut()
         .iter()
         .position(|p| !p.value.data.iter().all(|w| w.is_finite()))
     {
-        Some(tensor) => Err(CheckpointError::NonFinite { network, tensor }),
-        None => Ok(()),
+        return Err(CheckpointError::NonFinite { network, tensor });
     }
+    net.restore_buffers();
+    Ok(())
 }
 
 /// Writes `contents` to `path` atomically and durably (fsynced tmp file in
@@ -234,7 +253,7 @@ mod tests {
     use sqlgen_rl::NetConfig;
 
     fn small_actor(vocab: usize) -> ActorNet {
-        ActorNet::new(
+        ActorNet::actor(
             vocab,
             &NetConfig {
                 embed_dim: 4,
@@ -352,6 +371,41 @@ mod tests {
         assert!(matches!(
             Checkpoint::parse(&with_first_weight(&legacy, "-1e39")).unwrap_err(),
             CheckpointError::NonFinite { .. }
+        ));
+    }
+
+    /// Hostile checkpoints whose tensors do not fit together are typed
+    /// errors at load, not panics at first use.
+    #[test]
+    fn inconsistent_shapes_are_rejected() {
+        type Edit = fn(&mut ActorNet);
+        let mutations: [(&str, Edit); 4] = [
+            ("start_token", |a| a.start_token = 1_000_000),
+            ("context_token", |a| a.context_token = Some(1_000_000)),
+            ("head.w", |a| a.head.w.value.data.truncate(10)),
+            ("head.w", |a| a.head.w.value.rows = 5),
+        ];
+        for (what, mutate) in mutations {
+            let mut ckpt = Checkpoint::legacy(small_actor(9));
+            mutate(&mut ckpt.actor);
+            match Checkpoint::parse(&ckpt.render()) {
+                Err(CheckpointError::Shape {
+                    network: "actor",
+                    detail,
+                }) => assert!(detail.contains(what), "{what}: {detail}"),
+                other => panic!("{what}: expected a shape error, got {other:?}"),
+            }
+        }
+        // The critic's head is one unit wide: an actor-shaped critic is
+        // refused too.
+        let mut ckpt = Checkpoint::legacy(small_actor(9));
+        ckpt.critic = Some(small_actor(9));
+        assert!(matches!(
+            Checkpoint::parse(&ckpt.render()).unwrap_err(),
+            CheckpointError::Shape {
+                network: "critic",
+                ..
+            }
         ));
     }
 

@@ -8,7 +8,7 @@ use sqlgen_engine::{render, Estimator, Statement};
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
     run_jobs_batched, worker_seed, ActorCritic, Constraint, Episode, EstimatorCache, ExecDb,
-    InferActor, Job, JobOutcome, QuantizedActor, Reinforce, SqlGenEnv,
+    InferActor, Job, JobOutcome, QuantizedActor, SqlGenEnv,
 };
 use sqlgen_storage::Database;
 use std::sync::Arc;
@@ -35,35 +35,6 @@ pub struct TrainStats {
     pub satisfied_during_training: Vec<GeneratedQuery>,
 }
 
-enum Trainer {
-    Reinforce(Box<Reinforce>),
-    ActorCritic(Box<ActorCritic>),
-}
-
-impl Trainer {
-    fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
-        match self {
-            Trainer::Reinforce(t) => t.train(env, episodes, lanes),
-            Trainer::ActorCritic(t) => t.train(env, episodes, lanes),
-        }
-    }
-
-    /// `n` raw policy samples from the trainer's RNG stream, on `actor`
-    /// (the int8 snapshot) or, when `None`, the trainer's f32 actor.
-    fn generate(
-        &mut self,
-        actor: Option<&dyn InferActor>,
-        env: &SqlGenEnv,
-        n: usize,
-        lanes: usize,
-    ) -> Vec<Episode> {
-        match self {
-            Trainer::Reinforce(t) => t.generate(actor, env, n, lanes),
-            Trainer::ActorCritic(t) => t.generate(actor, env, n, lanes),
-        }
-    }
-}
-
 /// Constraint-aware SQL generator.
 ///
 /// Owns the action space, the statistics-based estimator and the RL model.
@@ -74,7 +45,7 @@ pub struct LearnedSqlGen {
     estimator: Estimator,
     constraint: Constraint,
     config: GenConfig,
-    trainer: Trainer,
+    trainer: ActorCritic,
     /// Memo cache for estimator reward lookups. Persists across
     /// `generate` calls (so `generate_satisfied` never re-estimates a
     /// duplicate candidate); pure bit-exact memoization.
@@ -152,13 +123,8 @@ impl LearnedSqlGen {
         config: GenConfig,
     ) -> Self {
         let trainer = match config.algorithm {
-            Algorithm::Reinforce => {
-                Trainer::Reinforce(Box::new(Reinforce::new(vocab.size(), config.train.clone())))
-            }
-            Algorithm::ActorCritic => Trainer::ActorCritic(Box::new(ActorCritic::new(
-                vocab.size(),
-                config.train.clone(),
-            ))),
+            Algorithm::Reinforce => ActorCritic::reinforce(vocab.size(), config.train.clone()),
+            Algorithm::ActorCritic => ActorCritic::new(vocab.size(), config.train.clone()),
         };
         let refiner = Refiner::new(config.refine.clone());
         let mut gen = LearnedSqlGen {
@@ -189,26 +155,19 @@ impl LearnedSqlGen {
         self.exec_db.as_ref()
     }
 
-    fn actor(&self) -> &sqlgen_rl::ActorNet {
-        match &self.trainer {
-            Trainer::Reinforce(t) => &t.actor,
-            Trainer::ActorCritic(t) => &t.actor,
-        }
-    }
-
     /// The actor inference runs on: the int8 snapshot when quantized,
     /// otherwise the f32 actor.
     fn infer_actor(&self) -> &dyn InferActor {
         match &self.quant {
             Some(q) => q,
-            None => self.actor(),
+            None => &self.trainer.actor,
         }
     }
 
     /// Rebuilds (or drops) the int8 snapshot from the current f32 weights.
     fn refresh_quant(&mut self) {
         self.quant = if self.config.quantize {
-            Some(QuantizedActor::from_actor(self.actor()))
+            Some(QuantizedActor::from_actor(&self.trainer.actor))
         } else {
             None
         };
@@ -463,9 +422,9 @@ impl LearnedSqlGen {
     /// Builds a versioned [`Checkpoint`] of the trained policy: actor +
     /// critic (when the algorithm has one) + config provenance.
     pub fn checkpoint(&self) -> Checkpoint {
-        let (algorithm, actor, critic) = match &self.trainer {
-            Trainer::Reinforce(t) => ("reinforce", t.actor.clone(), None),
-            Trainer::ActorCritic(t) => ("actor-critic", t.actor.clone(), Some(t.critic.clone())),
+        let algorithm = match self.trainer.critic {
+            Some(_) => "actor-critic",
+            None => "reinforce",
         };
         Checkpoint {
             config: CheckpointMeta {
@@ -474,8 +433,8 @@ impl LearnedSqlGen {
                 net: Some(self.config.train.net.clone()),
                 constraint: Some(self.constraint),
             },
-            actor,
-            critic,
+            actor: self.trainer.actor.clone(),
+            critic: self.trainer.critic.clone(),
         }
     }
 
@@ -498,14 +457,9 @@ impl LearnedSqlGen {
     /// when both sides have one — the critic.
     pub fn load_checkpoint(&mut self, text: &str) -> Result<(), CheckpointError> {
         let ckpt = Checkpoint::parse_for_vocab(text, self.vocab.size())?;
-        match &mut self.trainer {
-            Trainer::Reinforce(t) => t.actor = ckpt.actor,
-            Trainer::ActorCritic(t) => {
-                t.actor = ckpt.actor;
-                if let Some(critic) = ckpt.critic {
-                    t.critic = critic;
-                }
-            }
+        self.trainer.actor = ckpt.actor;
+        if let (Some(critic), Some(_)) = (ckpt.critic, &self.trainer.critic) {
+            self.trainer.critic = Some(critic);
         }
         self.refresh_quant();
         Ok(())
@@ -516,7 +470,7 @@ impl LearnedSqlGen {
     /// [`LearnedSqlGen::save_checkpoint`], which also carries the critic
     /// and config.
     pub fn save_actor(&self) -> String {
-        serde_json::to_string(self.actor()).expect("actor serializes")
+        serde_json::to_string(&self.trainer.actor).expect("actor serializes")
     }
 
     /// Restores actor weights from either checkpoint format. Alias of

@@ -2,7 +2,7 @@
 //!
 //! The generation pipeline (FSM → render → parse → validate → execute →
 //! estimate) has many independently implemented components that must agree
-//! with each other. This crate stress-tests those agreements with twelve
+//! with each other. This crate stress-tests those agreements with thirteen
 //! invariant families over randomly generated schemas, data and statements:
 //!
 //! * **round-trip** — `parse(render(ast)) == ast`, rendering is a fixpoint,
@@ -43,7 +43,11 @@
 //!   buffer pool is bitwise-identical to the in-memory original: schemas,
 //!   every cell, cursor scans, and executor cardinalities on random
 //!   statements; a deliberately damaged file (torn final page or a random
-//!   byte flip) must be rejected by the checksummed open/verify path.
+//!   byte flip) must be rejected by the checksummed open/verify path,
+//! * **checkpoint-hostile** — a rendered checkpoint truncated at a random
+//!   byte, or with one dimension, token or tensor data length changed,
+//!   either fails to load with a typed error or loads a network whose
+//!   seeded generation runs without panicking and yields valid SQL.
 //!
 //! Everything is deterministic: case `i` of a run with seed `s` derives its
 //! own RNG from `s ^ (i + 1) * GOLDEN`, so any failure reproduces from the
@@ -68,7 +72,7 @@ use std::fmt;
 /// splitmix64).
 pub const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 
-/// The twelve invariant families.
+/// The thirteen invariant families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Family {
     Roundtrip,
@@ -83,10 +87,11 @@ pub enum Family {
     RefineValidity,
     CacheEquivalence,
     PagedEquivalence,
+    CheckpointHostile,
 }
 
 impl Family {
-    pub const ALL: [Family; 12] = [
+    pub const ALL: [Family; 13] = [
         Family::Roundtrip,
         Family::Estimator,
         Family::Differential,
@@ -99,6 +104,7 @@ impl Family {
         Family::RefineValidity,
         Family::CacheEquivalence,
         Family::PagedEquivalence,
+        Family::CheckpointHostile,
     ];
 
     pub fn name(self) -> &'static str {
@@ -115,6 +121,7 @@ impl Family {
             Family::RefineValidity => "refine-validity",
             Family::CacheEquivalence => "cache-equivalence",
             Family::PagedEquivalence => "paged-equivalence",
+            Family::CheckpointHostile => "checkpoint-hostile",
         }
     }
 
@@ -190,7 +197,7 @@ pub struct FuzzReport {
     /// Total individual assertions that passed.
     pub checks: u64,
     /// Passed assertions per family, indexed like [`Family::ALL`].
-    pub checks_per_family: [u64; 12],
+    pub checks_per_family: [u64; Family::ALL.len()],
     pub failures: Vec<Failure>,
 }
 
@@ -236,6 +243,7 @@ pub fn run_case(family: Family, case_seed: u64) -> Result<u64, CheckFail> {
         Family::RefineValidity => invariants::check_refine_validity(&mut rng),
         Family::CacheEquivalence => invariants::check_cache_equivalence(&mut rng),
         Family::PagedEquivalence => invariants::check_paged_equivalence(&mut rng),
+        Family::CheckpointHostile => invariants::check_checkpoint_hostile(&mut rng),
     }
 }
 

@@ -97,44 +97,6 @@ impl Linear {
         }
     }
 
-    /// Lane-batched backward: `x` is the `[batch × in]` forward input
-    /// block, `dy` the `[batch × out]` output gradients (**inactive lanes
-    /// must be zeroed by the caller**), `dx` receives `[batch × in]` input
-    /// gradients. Parameter gradients go to the per-lane buffers in
-    /// `grads` with the exact op sequence of [`Linear::backward_into`]
-    /// (rank-1 update, then bias add), and `dx` comes from the batched
-    /// [`Mat::matvec_t_batch`] kernel — bit-identical per lane to a
-    /// serial backward. Lanes not marked `active` skip the parameter
-    /// accumulation entirely.
-    pub fn backward_batch_into(
-        &self,
-        x: &[f32],
-        dy: &[f32],
-        batch: usize,
-        active: &[bool],
-        grads: &mut [LinearGrads],
-        dx: &mut [f32],
-    ) {
-        let (out, inp) = (self.output_dim(), self.input_dim());
-        debug_assert_eq!(x.len(), batch * inp);
-        debug_assert_eq!(dy.len(), batch * out);
-        debug_assert_eq!(dx.len(), batch * inp);
-        debug_assert_eq!(grads.len(), batch);
-        for lane in 0..batch {
-            if !active[lane] {
-                debug_assert!(dy[lane * out..(lane + 1) * out].iter().all(|&v| v == 0.0));
-                continue;
-            }
-            let dyl = &dy[lane * out..(lane + 1) * out];
-            let xl = &x[lane * inp..(lane + 1) * inp];
-            grads[lane].w.add_outer(dyl, xl);
-            for (g, d) in grads[lane].b.data.iter_mut().zip(dyl) {
-                *g += d;
-            }
-        }
-        self.w.value.matvec_t_batch(dy, batch, dx);
-    }
-
     /// Prefix-compacted lane-batched backward: physical slot `p` hosts
     /// logical lane `order[p]`, and `x`/`dy`/`dx` are dense
     /// `[order.len() × dim]` blocks holding only live lanes. Parameter

@@ -268,58 +268,18 @@ impl QuantizedLinear {
         }
     }
 
-    /// Masked head evaluation: computes `y[r]` only where `mask[r]` is
-    /// true and writes `-∞` elsewhere. The FSM mask admits a handful of
-    /// tokens per step out of a vocabulary of hundreds, and the masked
-    /// softmax/sampler never read masked logits, so skipping them is
-    /// exact — this row-skip (not int8 arithmetic per se) is where the
-    /// quantized head earns most of its speedup.
-    pub fn forward_masked_into(&self, x: &[f32], mask: &[bool], y: &mut [f32]) {
-        debug_assert_eq!(mask.len(), self.w.rows);
-        debug_assert_eq!(y.len(), self.w.rows);
-        for (r, (yr, &m)) in y.iter_mut().zip(mask).enumerate() {
-            *yr = if m {
-                self.w.row_dot_q8(r, x) + self.b[r]
-            } else {
-                f32::NEG_INFINITY
-            };
-        }
-    }
-
-    /// Compact sibling of [`QuantizedLinear::forward_masked_into`]: head
-    /// logits for an explicit admissible-row list, `y[k] = w[ids[k]]·x +
-    /// b[ids[k]]` — same per-row math, no `-∞` writes for the (many)
-    /// inadmissible rows. With `softmax_dense` downstream this removes
-    /// every full-vocabulary sweep from the quantized sampling path.
+    /// Masked head evaluation over an explicit admissible-row list:
+    /// `y[k] = w[ids[k]]·x + b[ids[k]]`, the dense row math for just those
+    /// rows. The FSM mask admits a handful of tokens per step out of a
+    /// vocabulary of hundreds, and the sampler never reads inadmissible
+    /// logits, so skipping them is exact — this row-skip (not int8
+    /// arithmetic per se) is where the quantized head earns most of its
+    /// speedup. With `softmax_dense` downstream no full-vocabulary sweep
+    /// is left on the quantized sampling path.
     pub fn forward_ids_into(&self, x: &[f32], ids: &[usize], y: &mut [f32]) {
         debug_assert_eq!(ids.len(), y.len());
         for (yk, &r) in y.iter_mut().zip(ids) {
             *yk = self.w.row_dot_q8(r, x) + self.b[r];
-        }
-    }
-
-    /// Batched masked head: lane `l` of `y` gets
-    /// [`QuantizedLinear::forward_masked_into`] of lane `l` of `x` against
-    /// lane `l`'s mask row. Masks differ per lane, so this is a per-lane
-    /// sweep rather than a GEMM — with `M ≪ V` active rows it still does
-    /// far less work than the dense kernel.
-    pub fn forward_masked_batch_into(
-        &self,
-        x: &[f32],
-        batch: usize,
-        masks: &[bool],
-        y: &mut [f32],
-    ) {
-        let (out, inp) = (self.w.rows, self.w.cols);
-        debug_assert_eq!(x.len(), batch * inp);
-        debug_assert_eq!(masks.len(), batch * out);
-        debug_assert_eq!(y.len(), batch * out);
-        for lane in 0..batch {
-            self.forward_masked_into(
-                &x[lane * inp..(lane + 1) * inp],
-                &masks[lane * out..(lane + 1) * out],
-                &mut y[lane * out..(lane + 1) * out],
-            );
         }
     }
 }
@@ -595,54 +555,18 @@ mod tests {
     }
 
     #[test]
-    fn masked_head_skips_inactive_rows_and_matches_dense() {
+    fn compact_head_matches_dense_rows_bitwise() {
         let mut rng = StdRng::seed_from_u64(113);
         let l = Linear::new(16, 40, &mut rng);
         let ql = QuantizedLinear::from_linear(&l);
         let x: Vec<f32> = (0..16).map(|_| rng.random_range(-1.0..1.0)).collect();
-        let mask: Vec<bool> = (0..40).map(|r| r % 3 == 0).collect();
+        let ids: Vec<usize> = (0..40).filter(|r| r % 3 == 0).collect();
         let mut dense = vec![0.0; 40];
         ql.forward_into(&x, &mut dense);
-        let mut masked = vec![0.0; 40];
-        ql.forward_masked_into(&x, &mask, &mut masked);
-        for r in 0..40 {
-            if mask[r] {
-                assert_eq!(masked[r].to_bits(), dense[r].to_bits(), "row {r}");
-            } else {
-                assert_eq!(masked[r], f32::NEG_INFINITY, "row {r} not -inf");
-            }
-        }
-    }
-
-    #[test]
-    fn masked_head_batch_matches_serial_per_lane() {
-        let mut rng = StdRng::seed_from_u64(127);
-        let l = Linear::new(8, 20, &mut rng);
-        let ql = QuantizedLinear::from_linear(&l);
-        let batch = 5;
-        let x: Vec<f32> = (0..batch * 8)
-            .map(|_| rng.random_range(-1.0..1.0))
-            .collect();
-        let masks: Vec<bool> = (0..batch * 20)
-            .map(|_| rng.random_range(0..3) == 0)
-            .collect();
-        let mut y = vec![0.0; batch * 20];
-        ql.forward_masked_batch_into(&x, batch, &masks, &mut y);
-        for lane in 0..batch {
-            let mut serial = vec![0.0; 20];
-            ql.forward_masked_into(
-                &x[lane * 8..(lane + 1) * 8],
-                &masks[lane * 20..(lane + 1) * 20],
-                &mut serial,
-            );
-            assert_eq!(
-                y[lane * 20..(lane + 1) * 20]
-                    .iter()
-                    .map(|v| v.to_bits())
-                    .collect::<Vec<_>>(),
-                serial.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "lane {lane}"
-            );
+        let mut compact = vec![0.0; ids.len()];
+        ql.forward_ids_into(&x, &ids, &mut compact);
+        for (k, &r) in ids.iter().enumerate() {
+            assert_eq!(compact[k].to_bits(), dense[r].to_bits(), "row {r}");
         }
     }
 

@@ -8,12 +8,11 @@
 //! token, which conditions both the policy and the value function on the
 //! constraint.
 
-use crate::actor_critic::ActorCritic;
+use crate::actor_critic::{ActorCritic, TrainConfig};
 use crate::constraint::Constraint;
 use crate::env::SqlGenEnv;
 use crate::episode::Episode;
 use crate::nets::{ActorNet, CriticNet};
-use crate::reinforce::TrainConfig;
 
 /// Number of constraint buckets (reserved embedding rows).
 pub const CONTEXT_BUCKETS: usize = 16;
@@ -30,14 +29,21 @@ impl AcExtend {
     /// `(10_000.0, 20_000.0)` for the paper's Figure 9 setup.
     pub fn new(action_space: usize, cfg: TrainConfig, domain: (f64, f64)) -> Self {
         assert!(domain.0 < domain.1 && domain.0 > 0.0, "bad domain");
-        let actor = ActorNet::with_context_rows(action_space, CONTEXT_BUCKETS, &cfg.net, cfg.seed);
-        let critic = CriticNet::with_context_rows(
+        let actor = ActorNet::new(
             action_space,
+            action_space,
+            CONTEXT_BUCKETS,
+            &cfg.net,
+            cfg.seed,
+        );
+        let critic = CriticNet::new(
+            action_space,
+            1,
             CONTEXT_BUCKETS,
             &cfg.net,
             cfg.seed ^ 0xc717,
         );
-        let ac = ActorCritic::from_nets(actor, critic, cfg);
+        let ac = ActorCritic::from_nets(actor, Some(critic), cfg);
         AcExtend {
             ac,
             domain,
@@ -58,10 +64,10 @@ impl AcExtend {
     /// and also fed as the start token.
     pub fn set_constraint(&mut self, constraint: &Constraint) {
         let row = self.vocab_size + 1 + self.bucket(constraint);
-        self.ac.actor.set_start_token(row);
-        self.ac.critic.set_start_token(row);
-        self.ac.actor.set_context_token(Some(row));
-        self.ac.critic.set_context_token(Some(row));
+        for net in std::iter::once(&mut self.ac.actor).chain(&mut self.ac.critic) {
+            net.set_start_token(row);
+            net.set_context_token(Some(row));
+        }
     }
 
     /// Trains one episode under the environment's constraint.
@@ -102,7 +108,8 @@ mod tests {
         ace.set_constraint(&Constraint::cardinality_range(50_000.0, 90_000.0));
         let t2 = ace.ac.actor.start_token;
         assert_ne!(t1, t2);
-        assert_eq!(ace.ac.actor.start_token, ace.ac.critic.start_token);
+        let critic = ace.ac.critic.as_ref().expect("AC-extend has a critic");
+        assert_eq!(ace.ac.actor.start_token, critic.start_token);
         assert!(t1 > 50 && t2 > 50, "context rows live after the vocab");
     }
 }

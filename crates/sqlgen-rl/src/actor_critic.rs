@@ -1,24 +1,56 @@
-//! Actor-critic training (paper §4.3, Algorithm 3).
+//! Actor-critic training (paper §4.3, Algorithm 3) and its REINFORCE
+//! ablation.
 //!
 //! Advantage `A(s_t, a_t) = r_t + V_φ(s_{t+1}) − V_φ(s_t)` (the TD error,
 //! with `V(terminal) = 0` and γ = 1); actor loss `−logπ·A − λH`, critic
 //! loss `(r_t + V(s_{t+1}) − V(s_t))²` treated semi-gradient (the target is
 //! a constant w.r.t. φ).
+//!
+//! REINFORCE (Williams 1992) is the same loop without the critic: plain
+//! policy gradient with reward-to-go advantages and **no** baseline —
+//! exactly the ablation the paper compares the actor-critic against in
+//! Figure 8 (high return variance, slower/noisier convergence).
 
 use crate::batch::{with_lane_rngs, BatchRollout};
 use crate::env::SqlGenEnv;
-use crate::episode::Episode;
-use crate::nets::{ActorNet, CriticNet, InferActor, NetGradsBatch};
-use crate::reinforce::TrainConfig;
+use crate::episode::{rewards_to_go_into, Episode};
+use crate::nets::{ActorNet, CriticNet, HeadLoss, InferActor, NetConfig, NetGradsBatch};
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sqlgen_nn::{clip_grad_norm, Adam, Optimizer};
+use sqlgen_nn::Adam;
 
-/// Actor-critic trainer — the algorithm LearnedSQLGen ships with.
+/// Trainer hyper-parameters (paper §7.1 values as defaults).
+#[derive(Debug, Clone)]
+pub struct TrainConfig {
+    pub net: NetConfig,
+    pub lr_actor: f32,
+    pub lr_critic: f32,
+    /// Entropy-regularization strength λ.
+    pub lambda: f32,
+    pub grad_clip: f32,
+    pub seed: u64,
+}
+
+impl Default for TrainConfig {
+    fn default() -> Self {
+        TrainConfig {
+            net: NetConfig::default(),
+            lr_actor: 0.001,
+            lr_critic: 0.003,
+            lambda: 0.01,
+            grad_clip: 5.0,
+            seed: 0xacc01ade,
+        }
+    }
+}
+
+/// Actor-critic trainer — the algorithm LearnedSQLGen ships with — or,
+/// without a critic, the REINFORCE baseline.
 pub struct ActorCritic {
     pub actor: ActorNet,
-    pub critic: CriticNet,
+    /// The value network; `None` trains REINFORCE.
+    pub critic: Option<CriticNet>,
     pub cfg: TrainConfig,
     opt_actor: Adam,
     opt_critic: Adam,
@@ -29,14 +61,22 @@ pub struct ActorCritic {
 
 impl ActorCritic {
     pub fn new(action_space: usize, cfg: TrainConfig) -> Self {
-        let actor = ActorNet::new(action_space, &cfg.net, cfg.seed);
-        let critic = CriticNet::new(action_space, &cfg.net, cfg.seed ^ 0xc717);
-        Self::from_nets(actor, critic, cfg)
+        let critic = CriticNet::critic(action_space, &cfg.net, cfg.seed ^ 0xc717);
+        Self::from_nets(
+            ActorNet::actor(action_space, &cfg.net, cfg.seed),
+            Some(critic),
+            cfg,
+        )
+    }
+
+    /// The REINFORCE baseline: the same trainer without a critic.
+    pub fn reinforce(action_space: usize, cfg: TrainConfig) -> Self {
+        Self::from_nets(ActorNet::actor(action_space, &cfg.net, cfg.seed), None, cfg)
     }
 
     /// Builds a trainer around pre-constructed networks (used by the
     /// AC-extend ablation, which reserves context embedding rows).
-    pub fn from_nets(actor: ActorNet, critic: CriticNet, cfg: TrainConfig) -> Self {
+    pub fn from_nets(actor: ActorNet, critic: Option<CriticNet>, cfg: TrainConfig) -> Self {
         ActorCritic {
             actor,
             critic,
@@ -74,17 +114,17 @@ impl ActorCritic {
     }
 
     /// Trains on `episodes` episodes with `lanes` lockstep GEMM lanes —
-    /// both networks' forwards and backwards run lane-batched.
+    /// every network's forwards and backwards run lane-batched.
     ///
-    /// Per round: one episode per lane under the current policy, per-lane
-    /// critic RNGs drawn from the trainer stream in lane order after the
-    /// rollout, a lockstep critic forward over the collected token
-    /// streams, one lane-batched backward per network into per-lane
-    /// gradient arenas, an ascending-lane-order reduce, and **one**
-    /// clipped Adam step per network per round. `lanes <= 1` is one
-    /// episode and one update per round on the trainer's own RNG stream
-    /// (Algorithm 3 as written); see [`crate::train_batch`] and
-    /// [`with_lane_rngs`] for the contracts.
+    /// Per round: one episode per lane under the current policy; with a
+    /// critic, per-lane critic RNGs drawn from the trainer stream in lane
+    /// order after the rollout and a lockstep critic forward over the
+    /// collected token streams give TD advantages, without one the
+    /// advantages are the rewards-to-go. Then **one** clipped Adam step
+    /// per network (`LstmNet::update`).
+    /// `lanes <= 1` is one episode and one update per round on the
+    /// trainer's own RNG stream (Algorithm 3 as written); see
+    /// [`crate::train_batch`] and [`with_lane_rngs`] for the contracts.
     pub fn train(&mut self, env: &SqlGenEnv, episodes: usize, lanes: usize) -> Vec<Episode> {
         // Round buffers live for this call only, so wide arenas are not
         // held through later generation.
@@ -102,46 +142,45 @@ impl ActorCritic {
             let b = remaining.min(lanes.max(1));
             let actor = &self.actor;
             let eps = with_lane_rngs(&mut self.rng, lanes, b, |rngs| ro.collect(actor, env, rngs));
-            let mut crngs: Vec<StdRng> = (0..b)
-                .map(|_| StdRng::seed_from_u64(self.rng.random::<u64>()))
-                .collect();
-            ro.critic_forward(&self.critic, b, &mut crngs);
             if advantages.len() < b {
                 advantages.resize_with(b, Vec::new);
                 dvalues.resize_with(b, Vec::new);
             }
-            for (lane, ep) in eps.iter().enumerate() {
-                values.clear();
-                values.extend(ro.csteps[lane][..ro.lens[lane]].iter().map(|s| s.value));
-                Self::td_terms_into(
-                    &values,
-                    &ep.rewards,
-                    &mut advantages[lane],
-                    &mut dvalues[lane],
-                );
+            if let Some(critic) = &self.critic {
+                let mut crngs: Vec<StdRng> = (0..b)
+                    .map(|_| StdRng::seed_from_u64(self.rng.random::<u64>()))
+                    .collect();
+                ro.critic_forward(critic, b, &mut crngs);
+                for (lane, ep) in eps.iter().enumerate() {
+                    values.clear();
+                    values.extend(ro.csteps[lane][..ro.lens[lane]].iter().map(|s| s.value));
+                    Self::td_terms_into(
+                        &values,
+                        &ep.rewards,
+                        &mut advantages[lane],
+                        &mut dvalues[lane],
+                    );
+                }
+            } else {
+                for (lane, ep) in eps.iter().enumerate() {
+                    rewards_to_go_into(&ep.rewards, &mut advantages[lane]);
+                }
             }
 
-            self.actor.ensure_grads(&mut agrads, b);
-            self.actor.backward_episodes_batch(
-                b,
-                &ro.steps,
-                &ro.lens,
-                &advantages,
-                self.cfg.lambda,
-                &mut agrads,
-            );
-            self.actor.reduce_grads(&mut agrads, b);
-            let mut ap = self.actor.params_mut();
-            clip_grad_norm(&mut ap, self.cfg.grad_clip);
-            self.opt_actor.step(&mut ap);
-
-            self.critic.ensure_grads(&mut cgrads, b);
-            self.critic
-                .backward_episodes_batch(b, &ro.csteps, &ro.lens, &dvalues, &mut cgrads);
-            self.critic.reduce_grads(&mut cgrads, b);
-            let mut cp = self.critic.params_mut();
-            clip_grad_norm(&mut cp, self.cfg.grad_clip);
-            self.opt_critic.step(&mut cp);
+            let clip = self.cfg.grad_clip;
+            let policy = HeadLoss::Policy {
+                advantages: &advantages,
+                lambda: self.cfg.lambda,
+            };
+            let (steps, lens) = (&ro.steps, &ro.lens);
+            let opt = &mut self.opt_actor;
+            self.actor
+                .update(opt, clip, &mut agrads, steps, lens, policy);
+            if let Some(critic) = &mut self.critic {
+                let value = HeadLoss::Value { dvalues: &dvalues };
+                let opt = &mut self.opt_critic;
+                critic.update(opt, clip, &mut cgrads, &ro.csteps, lens, value);
+            }
 
             out.extend(eps);
             remaining -= b;
@@ -173,7 +212,6 @@ impl ActorCritic {
 mod tests {
     use super::*;
     use crate::constraint::Constraint;
-    use crate::nets::NetConfig;
     use sqlgen_engine::Estimator;
     use sqlgen_fsm::Vocabulary;
     use sqlgen_storage::gen::tpch_database;
@@ -262,8 +300,64 @@ mod tests {
         // After training, V(s_0) should be positive (expected return > 0)
         // rather than the 0 it started at.
         let mut rng = StdRng::seed_from_u64(1);
-        let mut state = trainer.critic.begin();
-        let v0 = trainer.critic.step(None, &mut state, false, &mut rng).value;
+        let critic = trainer.critic.as_ref().expect("actor-critic has a critic");
+        let mut state = critic.begin();
+        let v0 = critic.step(None, &mut state, None, false, &mut rng).value;
         assert!(v0 > 0.05, "critic uninformative: V(s0) = {v0}");
+    }
+
+    /// REINFORCE must improve the average reward on a real constraint task.
+    #[test]
+    fn reinforce_improves_reward() {
+        let (db, vocab) = training_env_setup();
+        let est = Estimator::build(&db);
+        // A generous range constraint so the signal is learnable quickly.
+        let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(50.0, 5_000.0))
+            .with_fsm_config(sqlgen_fsm::FsmConfig::spj());
+        let cfg = TrainConfig {
+            net: NetConfig {
+                embed_dim: 16,
+                hidden: 16,
+                layers: 1,
+                dropout: 0.0,
+            },
+            ..Default::default()
+        };
+        let mut trainer = ActorCritic::reinforce(vocab.size(), cfg);
+        assert!(trainer.critic.is_none());
+        let mut early = 0.0;
+        let mut late = 0.0;
+        let n = 150;
+        for (i, ep) in trainer.train(&env, n, 1).iter().enumerate() {
+            let r = ep.total_reward() / ep.len() as f32;
+            if i < 30 {
+                early += r;
+            }
+            if i >= n - 30 {
+                late += r;
+            }
+        }
+        assert!(
+            late > early,
+            "no improvement: early {early:.3} late {late:.3}"
+        );
+    }
+
+    #[test]
+    fn generation_does_not_change_weights() {
+        let db = tpch_database(0.1, 9);
+        let vocab = Vocabulary::build(
+            &db,
+            &SampleConfig {
+                k: 8,
+                ..Default::default()
+            },
+        );
+        let est = Estimator::build(&db);
+        let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_point(100.0));
+        let mut trainer = ActorCritic::reinforce(vocab.size(), TrainConfig::default());
+        let before = trainer.actor.head.w.value.data.clone();
+        trainer.generate(None, &env, 3, 1);
+        assert_eq!(before, trainer.actor.head.w.value.data);
     }
 }

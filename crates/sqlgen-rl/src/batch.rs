@@ -476,7 +476,7 @@ mod tests {
     }
 
     fn actor_for(vocab: &Vocabulary) -> ActorNet {
-        ActorNet::new(
+        ActorNet::actor(
             vocab.size(),
             &NetConfig {
                 embed_dim: 8,

@@ -8,7 +8,7 @@
 //! and fuzz oracles compare them against.
 
 use crate::env::{RewardShaper, SqlGenEnv};
-use crate::nets::{ActorNet, ActorStep, NetScratch};
+use crate::nets::{ActorNet, BatchScratch, NetStep};
 use rand::Rng;
 use sqlgen_engine::Statement;
 use sqlgen_nn::StackState;
@@ -40,16 +40,16 @@ impl Episode {
     }
 }
 
-/// Recycled rollout buffers: the `ActorStep` arena plus everything else a
+/// Recycled rollout buffers: the [`NetStep`] arena plus everything else a
 /// training episode needs. After the first episode the steady state is
 /// allocation-free per token (the arena only grows when an episode is
 /// longer than any previous one).
 #[derive(Default)]
 pub struct Rollout {
     /// Arena of per-step caches; `steps[..len]` is the live prefix.
-    pub steps: Vec<ActorStep>,
+    pub steps: Vec<NetStep>,
     pub len: usize,
-    scratch: NetScratch,
+    scratch: BatchScratch,
     lstm_state: StackState,
     mask: Vec<bool>,
 }
@@ -60,18 +60,14 @@ impl Rollout {
     }
 
     /// The live steps of the most recent episode.
-    pub fn steps(&self) -> &[ActorStep] {
+    pub fn steps(&self) -> &[NetStep] {
         &self.steps[..self.len]
     }
 }
 
-/// Recycled buffers for cacheless inference rollouts.
+/// Recycled buffers for [`run_episode_infer`].
 #[derive(Default)]
-pub struct InferRollout {
-    scratch: NetScratch,
-    lstm_state: StackState,
-    mask: Vec<bool>,
-}
+pub struct InferRollout(Rollout);
 
 impl InferRollout {
     pub fn new() -> Self {
@@ -133,13 +129,13 @@ pub fn run_episode_into<R: Rng + ?Sized>(
         let _t = sqlgen_obs::obs_time!("rl.step.latency_us");
         state.mask_into(&mut ro.mask);
         if ro.len == ro.steps.len() {
-            ro.steps.push(ActorStep::default());
+            ro.steps.push(NetStep::default());
         }
         let step = &mut ro.steps[ro.len];
         actor.step_into(
             prev,
             &mut ro.lstm_state,
-            &ro.mask,
+            Some(&ro.mask),
             train,
             rng,
             step,
@@ -158,36 +154,17 @@ pub fn run_episode_into<R: Rng + ?Sized>(
     finish_episode(env, &state, actions, rewards)
 }
 
-/// Generates one query with the current policy without collecting backward
-/// caches (zero heap allocations per token in steady state). Action
-/// streams match `run_episode_into(train = false)` for the same RNG.
+/// Generates one query with the current policy, dropout off (one uniform
+/// draw per token): the serial reference for
+/// [`crate::batch::BatchRollout`]. Same as `run_episode_into(train =
+/// false)`.
 pub fn run_episode_infer<R: Rng + ?Sized>(
     actor: &ActorNet,
     env: &SqlGenEnv,
     rng: &mut R,
     ro: &mut InferRollout,
 ) -> Episode {
-    let mut state = env.reset();
-    let mut shaper = RewardShaper::new();
-    actor.lstm.reset_state(&mut ro.lstm_state);
-    ro.mask.resize(env.action_space(), false);
-    let mut actions = Vec::new();
-    let mut rewards = Vec::new();
-    let mut prev: Option<usize> = None;
-
-    loop {
-        let _t = sqlgen_obs::obs_time!("rl.step.latency_us");
-        state.mask_into(&mut ro.mask);
-        let action = actor.infer_step(prev, &mut ro.lstm_state, &ro.mask, rng, &mut ro.scratch);
-        let (reward, done) = env.step(&mut state, action, &mut shaper);
-        prev = Some(action);
-        actions.push(action);
-        rewards.push(reward);
-        if done {
-            break;
-        }
-    }
-    finish_episode(env, &state, actions, rewards)
+    run_episode_into(actor, env, false, rng, &mut ro.0)
 }
 
 /// Reward-to-go `R(τ_{t:T})` per step (the REINFORCE return).
@@ -241,7 +218,7 @@ mod tests {
         );
         let est = Estimator::build(&db);
         let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(1.0, 500.0));
-        let actor = ActorNet::new(
+        let actor = ActorNet::actor(
             vocab.size(),
             &NetConfig {
                 embed_dim: 8,

@@ -3,13 +3,14 @@
 //! * [`constraint`] — cardinality/cost constraints and the §4.2 rewards,
 //! * [`env`] — the database environment (FSM masking + estimator rewards),
 //! * [`cache`] — LRU memo cache for estimator reward lookups,
-//! * [`nets`] — actor (policy) and critic (value) LSTM networks,
+//! * [`nets`] — the LSTM network serving as actor (policy) and critic
+//!   (value),
 //! * [`episode`] — episodes and the serial reference rollouts,
 //! * [`batch`] — the lockstep lane engine every generation path runs
 //!   through (continuous lane refill, the width-1 seeding rule),
 //! * [`train_batch`] — lane-batched training rollouts (batched BPTT),
-//! * [`reinforce`] — the REINFORCE baseline (Figure 8 ablation),
-//! * [`actor_critic`] — the shipped A2C algorithm (Algorithm 3),
+//! * [`actor_critic`] — the shipped A2C algorithm (Algorithm 3) and, with
+//!   no critic, the REINFORCE baseline (Figure 8 ablation),
 //! * [`ac_extend`] — constraint-in-the-state ablation (Figure 9),
 //! * [`meta_critic`] — the §6 meta-critic for cross-constraint
 //!   generalization.
@@ -23,11 +24,10 @@ pub mod env;
 pub mod episode;
 pub mod meta_critic;
 pub mod nets;
-pub mod reinforce;
 pub mod train_batch;
 
 pub use ac_extend::AcExtend;
-pub use actor_critic::ActorCritic;
+pub use actor_critic::{ActorCritic, TrainConfig};
 pub use batch::{
     lane_rngs, run_jobs_batched, with_lane_rngs, worker_seed, BatchRollout, Job, JobOutcome,
 };
@@ -40,8 +40,7 @@ pub use episode::{
 };
 pub use meta_critic::{ConstraintEncoder, MetaCritic, MetaCriticTrainer, TaskSlot};
 pub use nets::{
-    ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep, InferActor, NetConfig, NetGradsBatch,
-    NetScratch, QuantizedActor,
+    ActorNet, BatchScratch, CriticNet, HeadLoss, InferActor, LstmNet, NetConfig, NetGradsBatch,
+    NetStep, QuantizedActor,
 };
-pub use reinforce::{Reinforce, TrainConfig};
 pub use train_batch::TrainRollout;

@@ -14,12 +14,12 @@
 //! within an episode; the encoder is trained by backpropagating the sum of
 //! the per-step `∂L/∂z` through its final hidden state.
 
+use crate::actor_critic::{ActorCritic, TrainConfig};
 use crate::batch::{with_lane_rngs, BatchRollout};
 use crate::constraint::Constraint;
 use crate::env::SqlGenEnv;
 use crate::episode::Episode;
-use crate::nets::{ActorNet, NetConfig, NetGradsBatch};
-use crate::reinforce::TrainConfig;
+use crate::nets::{ActorNet, HeadLoss, NetConfig, NetGradsBatch};
 use crate::train_batch::TrainRollout;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,7 +204,7 @@ impl MetaCriticTrainer {
             .enumerate()
             .map(|(i, constraint)| TaskSlot {
                 constraint,
-                actor: ActorNet::new(action_space, &cfg.net, cfg.seed ^ (i as u64 * 7919 + 13)),
+                actor: ActorNet::actor(action_space, &cfg.net, cfg.seed ^ (i as u64 * 7919 + 13)),
                 triples: Vec::new(),
                 opt_actor: Adam::new(cfg.lr_actor),
             })
@@ -224,7 +224,7 @@ impl MetaCriticTrainer {
         let i = self.tasks.len();
         self.tasks.push(TaskSlot {
             constraint,
-            actor: ActorNet::new(
+            actor: ActorNet::actor(
                 action_space,
                 &self.cfg.net,
                 self.cfg.seed ^ (i as u64 * 7919 + 13),
@@ -255,25 +255,21 @@ impl MetaCriticTrainer {
         let input_tokens: Vec<usize> = steps.iter().map(|s| s.input_token).collect();
         let vsteps = self.critic.forward_episode(&input_tokens, &z);
         let values: Vec<f32> = vsteps.iter().map(|s| s.value).collect();
-        let (advantages, dvalues) =
-            crate::actor_critic::ActorCritic::td_terms(&values, &ep.rewards);
+        let (advantages, dvalues) = ActorCritic::td_terms(&values, &ep.rewards);
 
         // Actor update.
         let task = &mut self.tasks[idx];
-        let mut grads = NetGradsBatch::default();
-        task.actor.ensure_grads(&mut grads, 1);
-        task.actor.backward_episodes_batch(
-            1,
+        task.actor.update(
+            &mut task.opt_actor,
+            self.cfg.grad_clip,
+            &mut NetGradsBatch::default(),
             &ro.steps,
             &ro.lens,
-            std::slice::from_ref(&advantages),
-            self.cfg.lambda,
-            &mut grads,
+            HeadLoss::Policy {
+                advantages: std::slice::from_ref(&advantages),
+                lambda: self.cfg.lambda,
+            },
         );
-        task.actor.reduce_grads(&mut grads, 1);
-        let mut ap = task.actor.params_mut();
-        clip_grad_norm(&mut ap, self.cfg.grad_clip);
-        task.opt_actor.step(&mut ap);
 
         // Meta-critic update (value path + encoder through z).
         self.critic.zero_grad();

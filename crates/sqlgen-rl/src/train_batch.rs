@@ -26,7 +26,7 @@
 
 use crate::env::{RewardShaper, SqlGenEnv};
 use crate::episode::{finish_episode, Episode};
-use crate::nets::{ActorNet, ActorStep, BatchScratch, CriticNet, CriticStep};
+use crate::nets::{ActorNet, BatchScratch, CriticNet, NetStep};
 use rand::rngs::StdRng;
 use sqlgen_fsm::GenState;
 use sqlgen_nn::LstmBatchState;
@@ -40,7 +40,7 @@ struct LaneRun<'a> {
 }
 
 /// Reusable buffers for lane-batched training rounds: the batched LSTM
-/// states, the per-lane [`ActorStep`]/[`CriticStep`] arenas, and the
+/// states, the per-lane actor and critic [`NetStep`] arenas, and the
 /// lockstep bookkeeping. One instance serves many rounds; arenas grow to
 /// the longest episode seen and are then allocation-free.
 #[derive(Default)]
@@ -52,14 +52,13 @@ pub struct TrainRollout {
     masks: Vec<bool>,
     prev: Vec<Option<usize>>,
     active: Vec<bool>,
-    actions: Vec<usize>,
     rngs: Vec<StdRng>,
     /// Per-lane actor step arenas; `steps[lane][..lens[lane]]` live.
-    pub steps: Vec<Vec<ActorStep>>,
+    pub steps: Vec<Vec<NetStep>>,
     pub lens: Vec<usize>,
     /// Per-lane critic step arenas (used by the actor-critic trainer);
     /// `csteps[lane][..lens[lane]]` live after [`TrainRollout::critic_forward`].
-    pub csteps: Vec<Vec<CriticStep>>,
+    pub csteps: Vec<Vec<NetStep>>,
 }
 
 impl TrainRollout {
@@ -96,8 +95,6 @@ impl TrainRollout {
         self.prev.resize(b, None);
         self.active.clear();
         self.active.resize(b, true);
-        self.actions.clear();
-        self.actions.resize(b, 0);
         self.rngs.clear();
         self.rngs.extend_from_slice(rngs);
         if self.steps.len() < b {
@@ -121,7 +118,7 @@ impl TrainRollout {
         // Each lane's step arena travels with its slot (`arenas[p]`) and
         // goes back to lane order at the end.
         let mut order: Vec<usize> = (0..b).collect();
-        let mut arenas: Vec<Vec<ActorStep>> =
+        let mut arenas: Vec<Vec<NetStep>> =
             self.steps[..b].iter_mut().map(std::mem::take).collect();
         let mut done_slots: Vec<usize> = Vec::new();
 
@@ -140,24 +137,23 @@ impl TrainRollout {
             // the longest episode's length and is then reused verbatim).
             for arena in &mut arenas[..w] {
                 while arena.len() <= t {
-                    arena.push(ActorStep::default());
+                    arena.push(NetStep::default());
                 }
             }
-            actor.train_step_batch(
+            actor.forward_step_batch(
                 &self.prev[..w],
                 &self.active[..w],
                 &mut self.state,
-                &self.masks[..w * vocab],
+                Some(&self.masks[..w * vocab]),
                 &mut self.rngs[..w],
                 &mut self.scratch,
                 &mut arenas[..w],
                 t,
-                &mut self.actions[..w],
             );
             done_slots.clear();
             for (p, &lane) in order[..w].iter().enumerate() {
                 let run = runs[lane].as_mut().expect("live lane has a run");
-                let action = self.actions[p];
+                let action = arenas[p][t].action;
                 let (reward, done) = env.step(&mut run.state, action, &mut run.shaper);
                 self.prev[p] = Some(action);
                 run.actions.push(action);
@@ -182,7 +178,6 @@ impl TrainRollout {
                 self.state.swap_remove_lane(p);
                 rngs[order[p]] = self.rngs.swap_remove(p);
                 self.prev.swap_remove(p);
-                self.actions.swap_remove(p);
                 arenas.swap(p, w - 1);
                 order.swap(p, w - 1);
                 w -= 1;
@@ -234,7 +229,7 @@ impl TrainRollout {
         // loop and back to lane order after it.
         let order = sqlgen_nn::ragged_order(&self.lens[..b]);
         let mut prngs: Vec<StdRng> = order.iter().map(|&lane| crngs[lane].clone()).collect();
-        let mut arenas: Vec<Vec<CriticStep>> = order
+        let mut arenas: Vec<Vec<NetStep>> = order
             .iter()
             .map(|&lane| std::mem::take(&mut self.csteps[lane]))
             .collect();
@@ -256,13 +251,14 @@ impl TrainRollout {
                 };
                 let arena = &mut arenas[p];
                 while arena.len() <= t {
-                    arena.push(CriticStep::default());
+                    arena.push(NetStep::default());
                 }
             }
             critic.forward_step_batch(
                 &self.prev[..n_active],
                 &self.active[..n_active],
                 &mut self.cstate,
+                None,
                 &mut prngs[..n_active],
                 &mut self.scratch,
                 &mut arenas[..n_active],

@@ -53,7 +53,7 @@ fn batched_lanes_match_serial_inference_on_tpch() {
     let (db, vocab) = testbed();
     let est = Estimator::build(&db);
     let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
-    let actor = ActorNet::new(vocab.size(), &cfg().net, 1234);
+    let actor = ActorNet::actor(vocab.size(), &cfg().net, 1234);
     let base = 0xBA7C4;
 
     for &batch in &[2usize, 8] {

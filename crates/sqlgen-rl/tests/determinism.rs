@@ -5,7 +5,7 @@
 
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
-use sqlgen_rl::{ActorCritic, Constraint, NetConfig, Reinforce, SqlGenEnv, TrainConfig};
+use sqlgen_rl::{ActorCritic, Constraint, NetConfig, SqlGenEnv, TrainConfig};
 use sqlgen_storage::gen::tpch_database;
 use sqlgen_storage::sample::SampleConfig;
 use sqlgen_storage::Database;
@@ -84,7 +84,7 @@ fn serial_batches_reproduce_golden_token_streams() {
         "AC generation drifted"
     );
 
-    let mut rf = Reinforce::new(vocab.size(), cfg());
+    let mut rf = ActorCritic::reinforce(vocab.size(), cfg());
     let train: Vec<Vec<usize>> = rf
         .train(&env, 20, 1)
         .into_iter()

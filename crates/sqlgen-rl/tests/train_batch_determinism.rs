@@ -15,7 +15,7 @@ use sqlgen_engine::Estimator;
 use sqlgen_fsm::Vocabulary;
 use sqlgen_rl::{
     lane_rngs, rewards_to_go, run_episode_into, worker_seed, ActorCritic, ActorNet, BatchRollout,
-    Constraint, CriticNet, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
+    Constraint, CriticNet, HeadLoss, NetConfig, NetGradsBatch, QuantizedActor, Rollout, SqlGenEnv,
     TrainConfig, TrainRollout,
 };
 use sqlgen_storage::gen::tpch_database;
@@ -57,8 +57,8 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
     let est = Estimator::build(&db);
     let env = SqlGenEnv::new(&vocab, &est, Constraint::cardinality_range(100.0, 800.0));
     let c = cfg();
-    let mut actor = ActorNet::new(vocab.size(), &c.net, 1234);
-    let mut critic = CriticNet::new(vocab.size(), &c.net, 1234 ^ 0xc717);
+    let mut actor = ActorNet::actor(vocab.size(), &c.net, 1234);
+    let mut critic = CriticNet::critic(vocab.size(), &c.net, 1234 ^ 0xc717);
     let base = 0x7EA1;
     // Serial references start from untouched networks: `ensure_grads`
     // lends the networks' own gradient buffers to lane 0.
@@ -78,8 +78,10 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             batch,
             &ro.steps,
             &ro.lens,
-            &advantages,
-            c.lambda,
+            HeadLoss::Policy {
+                advantages: &advantages,
+                lambda: c.lambda,
+            },
             &mut agrads,
         );
 
@@ -98,7 +100,13 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             dvalues.push(dv);
         }
         critic.ensure_grads(&mut cgrads, batch);
-        critic.backward_episodes_batch(batch, &ro.csteps, &ro.lens, &dvalues, &mut cgrads);
+        critic.backward_episodes_batch(
+            batch,
+            &ro.csteps,
+            &ro.lens,
+            HeadLoss::Value { dvalues: &dvalues },
+            &mut cgrads,
+        );
 
         for lane in 0..batch {
             // Serial reference: same seed must reproduce the lane's episode.
@@ -113,7 +121,13 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
             assert_eq!(serial.rewards, eps[lane].rewards);
 
             a2.zero_grad();
-            a2.backward_episode(sro.steps(), &advantages[lane], c.lambda);
+            a2.backward_episode(
+                sro.steps(),
+                HeadLoss::Policy {
+                    advantages: &advantages[lane..=lane],
+                    lambda: c.lambda,
+                },
+            );
             assert_eq!(
                 a2.embed.table.grad.data, agrads.embed[lane].data,
                 "batch={batch} lane={lane}: embedding grads diverged"
@@ -144,7 +158,7 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
                 } else {
                     Some(s.input_token)
                 };
-                csteps.push(c2.step(prev, &mut cstate, true, &mut crng));
+                csteps.push(c2.step(prev, &mut cstate, None, true, &mut crng));
             }
             for (t, s) in csteps.iter().enumerate() {
                 assert_eq!(
@@ -153,7 +167,12 @@ fn batched_bptt_gradients_match_serial_per_lane_on_tpch() {
                 );
             }
             c2.zero_grad();
-            c2.backward_episode(&csteps, &dvalues[lane]);
+            c2.backward_episode(
+                &csteps,
+                HeadLoss::Value {
+                    dvalues: &dvalues[lane..=lane],
+                },
+            );
             assert_eq!(
                 c2.embed.table.grad.data, cgrads.embed[lane].data,
                 "batch={batch} lane={lane}: critic embedding grads diverged"
@@ -194,10 +213,8 @@ fn facade_width_one_training_is_call_split_invariant() {
 
     assert_eq!(whole_eps, split_eps, "width-1 rounds depend on call split");
     assert_eq!(whole.actor.head.w.value.data, split.actor.head.w.value.data);
-    assert_eq!(
-        whole.critic.head.w.value.data,
-        split.critic.head.w.value.data
-    );
+    let critic_weights = |ac: &ActorCritic| ac.critic.as_ref().unwrap().head.w.value.data.clone();
+    assert_eq!(critic_weights(&whole), critic_weights(&split));
 }
 
 /// A fixed `(seed, batch)` training run reproduces bit-for-bit, and the

@@ -16,13 +16,11 @@
 //! family checks.
 
 use crate::registry::ModelRegistry;
-use sqlgen_core::{
-    generate_window, Algorithm, Constraint, GenConfig, Metric, Refiner, SeededRequest, Target,
-};
+use sqlgen_core::{generate_window, Constraint, GenConfig, Metric, Refiner, SeededRequest, Target};
 use sqlgen_engine::Estimator;
 use sqlgen_fsm::{FsmConfig, Vocabulary};
 use sqlgen_obs::TraceHandle;
-use sqlgen_rl::{ActorCritic, ActorNet, Episode, InferActor, Reinforce, SqlGenEnv};
+use sqlgen_rl::{ActorCritic, ActorNet, Episode, InferActor, SqlGenEnv};
 use sqlgen_storage::Database;
 use std::path::PathBuf;
 use std::time::Instant;
@@ -158,10 +156,9 @@ impl Schema {
     ) -> Schema {
         let vocab = Vocabulary::build(db, &config.sample);
         let estimator = Estimator::build(db);
-        let actor = match config.algorithm {
-            Algorithm::Reinforce => Reinforce::new(vocab.size(), config.train.clone()).actor,
-            Algorithm::ActorCritic => ActorCritic::new(vocab.size(), config.train.clone()).actor,
-        };
+        // Every algorithm starts from the same actor; the critic is not
+        // served.
+        let actor = ActorCritic::reinforce(vocab.size(), config.train.clone()).actor;
         let registry = ModelRegistry::new(
             crate::registry::ServedModel {
                 label: "builtin".to_string(),

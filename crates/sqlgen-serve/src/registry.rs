@@ -232,7 +232,7 @@ mod tests {
     use sqlgen_rl::NetConfig;
 
     fn actor(vocab: usize, seed: u64) -> ActorNet {
-        ActorNet::new(
+        ActorNet::actor(
             vocab,
             &NetConfig {
                 embed_dim: 4,

@@ -1,6 +1,7 @@
 //! The `sqlgen` generate and serve paths reject retired and unknown flags
 //! and bad constraint values with their usage text and exit status 2,
-//! before doing any work.
+//! before doing any work, and refuse a malformed `--load` checkpoint with
+//! an error message and exit status 1.
 
 use std::process::Command;
 
@@ -52,4 +53,40 @@ fn bad_constraint_values_exit_with_usage() {
         assert!(err.contains("constraint"), "{args:?}: {err}");
         assert!(err.contains("USAGE"), "{args:?}: {err}");
     }
+}
+
+/// `--load` of a checkpoint whose tensors do not fit together (here: the
+/// actor's start token far outside its embedding) is refused with an
+/// error message and exit status 1 instead of a panic.
+#[test]
+fn load_of_malformed_checkpoint_exits_with_error() {
+    let dir = std::env::temp_dir().join(format!("sqlgen-cli-ckpt-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let (good, bad) = (dir.join("good.ckpt"), dir.join("bad.ckpt"));
+    let base = [
+        "--benchmark",
+        "tpch",
+        "--scale",
+        "0.05",
+        "--range",
+        "1",
+        "1000",
+        "--n",
+        "1",
+        "--train",
+        "0",
+    ];
+    let (code, err) = run(&[&base[..], &["--save", good.to_str().unwrap()]].concat());
+    assert_eq!(code, Some(0), "{err}");
+    // The actor serializes first, so the first start token is its own.
+    let text = std::fs::read_to_string(&good).unwrap();
+    let key = "\"start_token\":";
+    let at = text.find(key).expect("actor start token") + key.len();
+    let end = at + text[at..].find(',').expect("more fields follow");
+    std::fs::write(&bad, format!("{}1000000{}", &text[..at], &text[end..])).unwrap();
+    let (code, err) = run(&[&base[..], &["--load", bad.to_str().unwrap()]].concat());
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(code, Some(1), "{err}");
+    assert!(err.contains("bad checkpoint"), "{err}");
+    assert!(err.contains("start_token"), "{err}");
 }
